@@ -10,7 +10,8 @@
 use crate::error::Result;
 use crate::query::{DataContext, MultiModelQuery, ResolvedAtom};
 use relational::Relation;
-use xmldb::transform::{decompose, path_relation, Decomposition};
+use xmldb::transform::{decompose, path_relation, Decomposition, PathSpec};
+use xmldb::TwigPattern;
 
 /// A join atom: either a borrowed relational table or an owned (derived)
 /// path relation.
@@ -62,6 +63,16 @@ impl<'a> Atoms<'a> {
     }
 }
 
+/// The display name of twig `t`'s path atom: `twig{t}/path(V,…)`.
+pub(crate) fn path_atom_name(t: usize, twig: &TwigPattern, path: &PathSpec) -> String {
+    let vars: Vec<&str> = path
+        .nodes
+        .iter()
+        .map(|&q| twig.node(q).var.name())
+        .collect();
+    format!("twig{}/path({})", t, vars.join(","))
+}
+
 /// Lowers the query: relational atoms followed by every twig's path
 /// relations.
 pub fn collect_atoms<'a>(ctx: &DataContext<'a>, query: &MultiModelQuery) -> Result<Atoms<'a>> {
@@ -79,14 +90,10 @@ pub fn collect_atoms<'a>(ctx: &DataContext<'a>, query: &MultiModelQuery) -> Resu
     for (t, twig) in query.twigs.iter().enumerate() {
         let dec = decompose(twig);
         for path in &dec.paths {
-            let rel = path_relation(ctx.doc, ctx.index, twig, path);
-            let vars: Vec<&str> = path
-                .nodes
-                .iter()
-                .map(|&q| twig.node(q).var.name())
-                .collect();
-            names.push(format!("twig{}/path({})", t, vars.join(",")));
-            rels.push(AtomRel::Owned(rel));
+            names.push(path_atom_name(t, twig, path));
+            rels.push(AtomRel::Owned(path_relation(
+                ctx.doc, ctx.index, twig, path,
+            )));
         }
         decompositions.push(dec);
     }

@@ -7,22 +7,75 @@
 //! states. Prefix restrictions bound every intermediate of a level-wise
 //! engine (Lemma 3.5).
 
-use crate::atoms::Atoms;
+use crate::atoms::{path_atom_name, Atoms};
 use crate::error::Result;
+use crate::query::{DataContext, MultiModelQuery};
 use agm::{agm_bound, agm_exponent, log_agm_bound, Hypergraph};
 use relational::Attr;
+use xmldb::transform::{decompose, path_relation};
+
+/// One hyperedge per `(name, attributes, cardinality)`, in order.
+fn hypergraph_of<'e>(
+    edges: impl Iterator<Item = (&'e str, &'e [Attr], usize)>,
+) -> (Hypergraph, Vec<usize>) {
+    let mut h = Hypergraph::new();
+    let mut sizes = Vec::new();
+    for (name, attrs, size) in edges {
+        let attr_names: Vec<&str> = attrs.iter().map(|a| a.name()).collect();
+        h.edge(name, &attr_names);
+        sizes.push(size);
+    }
+    (h, sizes)
+}
 
 /// Builds the mixed-query hypergraph and the per-edge cardinalities.
 pub fn mixed_hypergraph(atoms: &Atoms<'_>) -> (Hypergraph, Vec<usize>) {
-    let mut h = Hypergraph::new();
-    let mut sizes = Vec::with_capacity(atoms.rels.len());
-    for (name, atom) in atoms.names.iter().zip(&atoms.rels) {
-        let rel = atom.rel();
-        let attr_names: Vec<&str> = rel.schema().attrs().iter().map(|a| a.name()).collect();
-        h.edge(name, &attr_names);
-        sizes.push(rel.len());
+    hypergraph_of(
+        atoms
+            .names
+            .iter()
+            .zip(&atoms.rels)
+            .map(|(name, atom)| (name.as_str(), atom.rel().schema().attrs(), atom.rel().len())),
+    )
+}
+
+/// [`mixed_hypergraph`] of `collect_atoms(ctx, query)`, edge for edge,
+/// without materialising any relational atom: each one contributes its
+/// [`DataContext::atom_shape`] (its stored size, or one counting scan when
+/// it has constants or a repeated variable). Twig path relations are still
+/// derived — their sizes come from walking the document.
+fn query_hypergraph(
+    ctx: &DataContext<'_>,
+    query: &MultiModelQuery,
+) -> Result<(Hypergraph, Vec<usize>)> {
+    let mut edges: Vec<(String, Vec<Attr>, usize)> = Vec::new();
+    for atom in &query.relations {
+        let (attrs, size) = ctx.atom_shape(atom)?;
+        edges.push((atom.name.clone(), attrs, size));
     }
-    (h, sizes)
+    for (t, twig) in query.twigs.iter().enumerate() {
+        for path in &decompose(twig).paths {
+            let rel = path_relation(ctx.doc, ctx.index, twig, path);
+            edges.push((
+                path_atom_name(t, twig, path),
+                rel.schema().attrs().to_vec(),
+                rel.len(),
+            ));
+        }
+    }
+    Ok(hypergraph_of(
+        edges.iter().map(|(n, a, s)| (n.as_str(), &a[..], *s)),
+    ))
+}
+
+/// [`query_log_bound`] of `collect_atoms(ctx, query)` — bit-identical —
+/// without materialising any relational atom: each is priced at its stored
+/// size, or by one counting scan when it has constants or a repeated
+/// variable. A server re-pricing a cached statement after a write needs
+/// no more: the bound depends on the atoms' cardinalities only.
+pub fn query_log_bound_of(ctx: &DataContext<'_>, query: &MultiModelQuery) -> Result<f64> {
+    let (h, sizes) = query_hypergraph(ctx, query)?;
+    Ok(log_agm_bound(&h, &sizes)?)
 }
 
 /// The AGM bound of the full query with the atoms' actual sizes

@@ -71,7 +71,10 @@ pub mod validate;
 
 pub use atoms::{collect_atoms, AtomRel, Atoms};
 pub use baseline::{baseline, BaselineConfig, RelAlg, XmlAlg};
-pub use bounds::{mixed_hypergraph, prefix_bounds, query_bound, query_exponent, query_log_bound};
+pub use bounds::{
+    mixed_hypergraph, prefix_bounds, query_bound, query_exponent, query_log_bound,
+    query_log_bound_of,
+};
 pub use engine::{lower, xjoin, xjoin_with_plan, xjoin_with_plan_in_range, XJoinConfig};
 pub use error::{CoreError, Result};
 pub use exec::{
@@ -86,7 +89,8 @@ pub use mmql::{parse_query, parse_query_with_options};
 pub use morsel::{partition_root, Parallelism};
 pub use order::{compute_order, OrderStrategy};
 pub use query::{
-    all_variables, variables_of, DataContext, MultiModelQuery, RelAtom, ResolvedAtom, Term,
+    all_variables, apply_terms, variables_of, DataContext, MultiModelQuery, RelAtom, ResolvedAtom,
+    Term,
 };
 pub use relational::Ladder;
 pub use stream::{stream_with_plan, xjoin_rows, xjoin_rows_with_plan, Rows, RowsStats};

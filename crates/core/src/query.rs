@@ -147,82 +147,143 @@ impl<'a> DataContext<'a> {
             .relations
             .iter()
             .map(|atom| {
-                let rel = self
-                    .db
-                    .relation(&atom.name)
-                    .map_err(|_| CoreError::UnknownRelation(atom.name.clone()))?;
+                let rel = self.stored(atom)?;
                 match &atom.terms {
                     None => Ok(ResolvedAtom::Plain(rel)),
-                    Some(terms) => {
-                        if terms.len() != rel.arity() {
-                            return Err(CoreError::BadOrder(format!(
-                                "atom `{}` binds {} terms but the relation has arity {}",
-                                atom.name,
-                                terms.len(),
-                                rel.arity()
-                            )));
-                        }
-                        Ok(ResolvedAtom::Renamed(apply_terms(self.db, rel, terms)?))
-                    }
+                    Some(terms) => Ok(ResolvedAtom::Renamed(apply_terms(self.db, rel, terms)?)),
                 }
             })
             .collect()
     }
+
+    /// The schema and cardinality [`DataContext::resolve_atoms`] would give
+    /// `atom`, without materialising it. A plain atom or a pure rename has
+    /// its stored relation's size (stored relations are sets); an atom with
+    /// constants or a repeated variable costs one counting scan.
+    pub(crate) fn atom_shape(&self, atom: &RelAtom) -> Result<(Vec<Attr>, usize)> {
+        let rel = self.stored(atom)?;
+        match &atom.terms {
+            None => Ok((rel.schema().attrs().to_vec(), rel.len())),
+            Some(terms) => {
+                let filter = TermFilter::new(self.db, rel, terms)?;
+                let size = if filter.is_rename() {
+                    rel.len()
+                } else {
+                    rel.rows().filter(|row| filter.matches(row)).count()
+                };
+                Ok((filter.out_attrs, size))
+            }
+        }
+    }
+
+    /// The stored relation behind `atom`, with its term count checked
+    /// against the relation's arity.
+    fn stored(&self, atom: &RelAtom) -> Result<&'a Relation> {
+        let rel = self
+            .db
+            .relation(&atom.name)
+            .map_err(|_| CoreError::UnknownRelation(atom.name.clone()))?;
+        if let Some(terms) = &atom.terms {
+            if terms.len() != rel.arity() {
+                return Err(CoreError::BadOrder(format!(
+                    "atom `{}` binds {} terms but the relation has arity {}",
+                    atom.name,
+                    terms.len(),
+                    rel.arity()
+                )));
+            }
+        }
+        Ok(rel)
+    }
 }
 
-/// Applies an atom's positional terms to a stored relation: constants become
-/// selections, repeated variables become equality filters, and the result's
-/// schema lists each distinct variable once (first-occurrence order).
-fn apply_terms(db: &Database, rel: &Relation, terms: &[Term]) -> Result<Relation> {
-    // Output columns: first occurrence of each variable.
-    let mut out_attrs: Vec<Attr> = Vec::new();
-    let mut out_positions: Vec<usize> = Vec::new();
-    // Equality groups: for a repeated variable, all its positions.
-    let mut eq_groups: Vec<Vec<usize>> = Vec::new();
-    // Constant constraints (position, id); a constant the dictionary has
-    // never seen makes the atom empty.
-    let mut consts: Vec<(usize, Option<relational::ValueId>)> = Vec::new();
+/// What an atom's positional terms do to its stored relation's rows.
+struct TermFilter {
+    /// Output columns: the first occurrence of each variable.
+    out_attrs: Vec<Attr>,
+    /// The stored column each output column is read from.
+    out_positions: Vec<usize>,
+    /// Equality groups: for a repeated variable, all its positions.
+    eq_groups: Vec<Vec<usize>>,
+    /// Constant constraints (position, id); a constant the dictionary has
+    /// never seen (`None`) matches no row, which makes the atom empty.
+    consts: Vec<(usize, Option<relational::ValueId>)>,
+}
 
-    for (pos, term) in terms.iter().enumerate() {
-        match term {
-            Term::Var(v) => match out_attrs.iter().position(|a| a == v) {
-                None => {
-                    out_attrs.push(v.clone());
-                    out_positions.push(pos);
-                    eq_groups.push(vec![pos]);
-                }
-                Some(k) => eq_groups[k].push(pos),
-            },
-            Term::Const(value) => consts.push((pos, db.dict().lookup(value))),
+impl TermFilter {
+    fn new(db: &Database, rel: &Relation, terms: &[Term]) -> Result<TermFilter> {
+        if terms.len() != rel.arity() {
+            return Err(CoreError::BadOrder(format!(
+                "{} terms bound over {} of arity {}",
+                terms.len(),
+                rel.schema(),
+                rel.arity()
+            )));
         }
+        let mut out_attrs: Vec<Attr> = Vec::new();
+        let mut out_positions: Vec<usize> = Vec::new();
+        let mut eq_groups: Vec<Vec<usize>> = Vec::new();
+        let mut consts = Vec::new();
+        for (pos, term) in terms.iter().enumerate() {
+            match term {
+                Term::Var(v) => match out_attrs.iter().position(|a| a == v) {
+                    None => {
+                        out_attrs.push(v.clone());
+                        out_positions.push(pos);
+                        eq_groups.push(vec![pos]);
+                    }
+                    Some(k) => eq_groups[k].push(pos),
+                },
+                Term::Const(value) => consts.push((pos, db.dict().lookup(value))),
+            }
+        }
+        if out_attrs.is_empty() {
+            return Err(CoreError::BadOrder(format!(
+                "atom over {} binds no variables",
+                rel.schema()
+            )));
+        }
+        Ok(TermFilter {
+            out_attrs,
+            out_positions,
+            eq_groups,
+            consts,
+        })
     }
-    if out_attrs.is_empty() {
-        return Err(CoreError::BadOrder(format!(
-            "atom over {} binds no variables",
-            rel.schema()
-        )));
+
+    /// Whether the terms only rename (and possibly permute) the columns:
+    /// no constant and no repeated variable, so every row maps one-to-one.
+    fn is_rename(&self) -> bool {
+        self.consts.is_empty() && self.eq_groups.iter().all(|group| group.len() == 1)
     }
+
+    /// Whether a stored row passes the constants and equalities. Over a set
+    /// the passing rows map one-to-one onto the derived relation's tuples
+    /// (every dropped column is a constant or equals a kept one).
+    fn matches(&self, row: &[relational::ValueId]) -> bool {
+        self.consts.iter().all(|&(pos, id)| Some(row[pos]) == id)
+            && self
+                .eq_groups
+                .iter()
+                .all(|group| group.windows(2).all(|w| row[w[0]] == row[w[1]]))
+    }
+}
+
+/// Applies an atom's positional terms to a relation: constants become
+/// selections, repeated variables become equality filters, and the result's
+/// schema lists each distinct variable once (first-occurrence order). The
+/// result is sorted and duplicate-free. `rel` may be any relation with the
+/// atom's stored schema — the stored relation itself, or one append batch
+/// of it (constants are looked up in `db`'s dictionary, which only grows).
+pub fn apply_terms(db: &Database, rel: &Relation, terms: &[Term]) -> Result<Relation> {
+    let filter = TermFilter::new(db, rel, terms)?;
     let schema =
-        relational::Schema::new(out_attrs.iter().cloned()).map_err(CoreError::Relational)?;
+        relational::Schema::new(filter.out_attrs.iter().cloned()).map_err(CoreError::Relational)?;
     let mut out = Relation::new(schema);
-    // Any unknown constant ⇒ no tuple can match.
-    if consts.iter().any(|(_, id)| id.is_none()) {
-        return Ok(out);
-    }
-    let mut buf: Vec<relational::ValueId> = Vec::with_capacity(out_positions.len());
-    'rows: for row in rel.rows() {
-        for (pos, id) in &consts {
-            if row[*pos] != id.expect("checked above") {
-                continue 'rows;
-            }
-        }
-        for group in &eq_groups {
-            if group.windows(2).any(|w| row[w[0]] != row[w[1]]) {
-                continue 'rows;
-            }
-        }
+    let mut buf: Vec<relational::ValueId> = Vec::with_capacity(filter.out_positions.len());
+    for row in rel.rows().filter(|row| filter.matches(row)) {
         buf.clear();
-        buf.extend(out_positions.iter().map(|&p| row[p]));
+        buf.extend(filter.out_positions.iter().map(|&p| row[p]));
         out.push(&buf).map_err(CoreError::Relational)?;
     }
     out.sort_dedup();

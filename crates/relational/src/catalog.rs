@@ -43,7 +43,17 @@ impl Database {
 
     /// Registers (or replaces) a relation under `name`, bumping its version
     /// and the database epoch.
+    ///
+    /// Stored relations are sets: `rel` must be sorted and duplicate-free
+    /// ([`Relation::is_sorted_set`], as [`Relation::sort_dedup`] leaves it).
+    /// Size-only pricing reads a renamed atom's cardinality straight off
+    /// the stored relation, and appends splice batches into it, so both
+    /// rely on this (checked in debug builds).
     pub fn add_relation(&mut self, name: impl Into<String>, rel: Relation) {
+        debug_assert!(
+            rel.is_sorted_set(),
+            "stored relations must be sorted sets (call sort_dedup first)"
+        );
         let name = name.into();
         *self.versions.entry(name.clone()).or_insert(0) += 1;
         self.epoch += 1;
@@ -215,6 +225,37 @@ mod tests {
         assert_eq!(db.relation_version("R"), Some(2));
         assert_eq!(db.relation_version("S"), Some(1));
         assert_eq!(db.epoch(), 3);
+    }
+
+    #[test]
+    fn loaded_relations_are_stored_as_sets() {
+        let mut db = Database::new();
+        db.load(
+            "R",
+            Schema::of(&["a", "b"]),
+            vec![
+                vec![Value::Int(2), Value::Int(1)],
+                vec![Value::Int(1), Value::Int(5)],
+                vec![Value::Int(2), Value::Int(1)],
+            ],
+        )
+        .unwrap();
+        db.load_csv("T: x,y\n3,1\n1,1\n3,1\n").unwrap();
+        for name in ["R", "T"] {
+            let rel = db.relation(name).unwrap();
+            assert!(rel.is_sorted_set(), "{name} is not a sorted set");
+            assert_eq!(rel.len(), 2);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stored relations must be sorted sets")]
+    fn adding_a_relation_with_duplicates_is_caught() {
+        let mut r = Relation::new(Schema::of(&["a"]));
+        r.push(&[ValueId(1)]).unwrap();
+        r.push(&[ValueId(1)]).unwrap();
+        Database::new().add_relation("R", r);
     }
 
     #[test]

@@ -147,75 +147,24 @@ impl DeltaTrie {
     /// Merges base and runs into a fresh solid [`Trie`].
     ///
     /// The runs are expected to be tiny next to the base, so the merge is
-    /// asymmetric: a k-way merge collapses the runs into one sorted,
-    /// duplicate-free delta (k-way cost proportional to the *delta* size),
-    /// then a single two-way pass splices that delta into the base, bulk-
-    /// copying the untouched base spans between insertion points instead of
-    /// pushing the base row by row.
+    /// asymmetric: the runs are first folded into one sorted, duplicate-free
+    /// delta (cost proportional to the *delta* size), then a single
+    /// [`Relation::splice`] pass merges that delta into the base, bulk-
+    /// copying the untouched base spans between insertion points. Every
+    /// layer yields its rows sorted, so nothing is ever re-sorted.
     pub fn compact(&self) -> Result<Trie> {
         let attrs = self.base.attrs().to_vec();
+        let base = self.base.to_relation();
         if self.runs.is_empty() {
             // Nothing to merge; rebuild from the base's rows (callers that
             // want zero work should just keep the base Arc instead).
-            return Trie::build(&self.base.to_relation(), &attrs);
+            return Trie::build(&base, &attrs);
         }
-        let schema = Schema::new(attrs.iter().cloned())?;
-        let arity = self.arity();
-        if arity == 0 {
-            // Nullary layers: the union holds the empty tuple iff any layer
-            // is non-empty.
-            let mut merged = Relation::new(schema);
-            if self.base_tuples() > 0 || self.runs.iter().any(|r| r.num_tuples() > 0) {
-                merged.push(&[])?;
-            }
-            return Trie::build(&merged, &attrs);
+        let mut delta = Relation::new(Schema::new(attrs.iter().cloned())?);
+        for run in &self.runs {
+            delta = delta.splice(&run.to_relation())?;
         }
-
-        // 1. Collapse the runs into one sorted, deduplicated delta. The
-        //    per-row min-scan is fine here: it only touches delta tuples.
-        let run_rels: Vec<Relation> = self.runs.iter().map(|r| r.to_relation()).collect();
-        let mut delta: Vec<&[crate::value::ValueId]> = Vec::with_capacity(self.delta_tuples());
-        let mut streams: Vec<_> = run_rels.iter().map(|l| l.rows().peekable()).collect();
-        while let Some(min) = streams.iter_mut().filter_map(|s| s.peek().copied()).min() {
-            delta.push(min);
-            for s in &mut streams {
-                if s.peek().copied() == Some(min) {
-                    s.next();
-                }
-            }
-        }
-
-        // 2. Splice the delta into the base in one pass. Delta rows arrive
-        //    in ascending order, so each insertion point is found by a
-        //    binary search over the not-yet-copied base suffix and the base
-        //    span below it is copied wholesale.
-        let base_rel = self.base.to_relation();
-        let base = base_rel.raw_data();
-        let n = base_rel.len();
-        let mut merged = Relation::with_capacity(schema, self.tuple_upper_bound());
-        let mut lo = 0usize; // first base row not yet copied out
-        for row in delta {
-            let mut left = lo;
-            let mut right = n;
-            while left < right {
-                let mid = left + (right - left) / 2;
-                if &base[mid * arity..(mid + 1) * arity] < row {
-                    left = mid + 1;
-                } else {
-                    right = mid;
-                }
-            }
-            merged.extend_raw(&base[lo * arity..left * arity]);
-            merged.extend_raw(row);
-            // Skip the base copy when the delta re-inserts an existing row.
-            lo = if left < n && &base[left * arity..(left + 1) * arity] == row {
-                left + 1
-            } else {
-                left
-            };
-        }
-        merged.extend_raw(&base[lo * arity..]);
-        Trie::build(&merged, &attrs)
+        Trie::build(&base.splice(&delta)?, &attrs)
     }
 }
 

@@ -105,23 +105,6 @@ impl Relation {
         &self.data[i * a..(i + 1) * a]
     }
 
-    /// Raw row-major storage. Same-crate bulk operations only; nullary
-    /// relations store one sentinel id per tuple, so callers must
-    /// special-case arity 0.
-    pub(crate) fn raw_data(&self) -> &[ValueId] {
-        &self.data
-    }
-
-    /// Appends pre-validated row-major cells (`cells.len()` must be a
-    /// multiple of the arity). Same-crate bulk operations only.
-    pub(crate) fn extend_raw(&mut self, cells: &[ValueId]) {
-        debug_assert!(
-            self.schema.arity() > 0 && cells.len().is_multiple_of(self.schema.arity()),
-            "extend_raw needs whole rows of a positive arity"
-        );
-        self.data.extend_from_slice(cells);
-    }
-
     /// Iterates over tuples as slices. Nullary relations yield empty slices.
     pub fn rows(&self) -> impl Iterator<Item = &[ValueId]> + '_ {
         let a = self.schema.arity();
@@ -159,6 +142,75 @@ impl Relation {
             last = Some(r);
         }
         self.data = out;
+    }
+
+    /// Whether the tuples are strictly ascending — sorted and duplicate-free,
+    /// the state [`Relation::sort_dedup`] establishes. O(n).
+    pub fn is_sorted_set(&self) -> bool {
+        let a = self.schema.arity();
+        if a == 0 {
+            return self.data.len() <= 1;
+        }
+        self.data
+            .chunks_exact(a)
+            .zip(self.data.chunks_exact(a).skip(1))
+            .all(|(x, y)| x < y)
+    }
+
+    /// The set union of two sorted sets ([`Relation::is_sorted_set`]),
+    /// sorted, in one pass and without re-sorting: each `batch` row's
+    /// insertion point is a binary search over the not-yet-copied suffix of
+    /// `self`, and the span of `self` below it is copied wholesale. Costs
+    /// `O(|self| + |batch| · log |self|)` — built for a small batch spliced
+    /// into a large relation (appends, delta compaction). Batch rows already
+    /// in `self` are kept once. The result carries `self`'s schema; the two
+    /// arities must agree.
+    pub fn splice(&self, batch: &Relation) -> Result<Relation> {
+        let a = self.arity();
+        if batch.arity() != a {
+            return Err(RelError::ArityMismatch {
+                expected: a,
+                got: batch.arity(),
+            });
+        }
+        debug_assert!(
+            self.is_sorted_set() && batch.is_sorted_set(),
+            "splice needs sorted, duplicate-free inputs"
+        );
+        if a == 0 {
+            // Nullary: the union holds the empty tuple iff either side does.
+            let mut out = Relation::new(self.schema.clone());
+            if !self.is_empty() || !batch.is_empty() {
+                out.push(&[])?;
+            }
+            return Ok(out);
+        }
+        let base = &self.data;
+        let n = self.len();
+        let mut out = Relation::with_capacity(self.schema.clone(), n + batch.len());
+        let mut lo = 0usize; // first base row not yet copied out
+        for row in batch.rows() {
+            let mut left = lo;
+            let mut right = n;
+            while left < right {
+                let mid = left + (right - left) / 2;
+                if &base[mid * a..(mid + 1) * a] < row {
+                    left = mid + 1;
+                } else {
+                    right = mid;
+                }
+            }
+            out.data.extend_from_slice(&base[lo * a..left * a]);
+            out.data.extend_from_slice(row);
+            // Skip the base copy when the batch re-inserts an existing row.
+            lo = if left < n && &base[left * a..(left + 1) * a] == row {
+                left + 1
+            } else {
+                left
+            };
+        }
+        out.data.extend_from_slice(&base[lo * a..]);
+        Ok(out)
     }
 
     /// Keeps only the first `n` tuples (no-op when `n >= len`). Engines use
@@ -393,6 +445,87 @@ mod tests {
         let r = Relation::from_rows(Schema::of(&["a", "b"]), [[v(1), v(2)], [v(3), v(4)]]).unwrap();
         assert_eq!(r.len(), 2);
         assert!(Relation::from_rows(Schema::of(&["a"]), [[v(1), v(2)]]).is_err());
+    }
+
+    fn set(rows: &[[u32; 2]]) -> Relation {
+        let mut r = Relation::new(Schema::of(&["a", "b"]));
+        for row in rows {
+            r.push(&[v(row[0]), v(row[1])]).unwrap();
+        }
+        r.sort_dedup();
+        r
+    }
+
+    /// The splice's reference: clone, push the batch, sort and dedup.
+    fn resorted(base: &Relation, batch: &Relation) -> Relation {
+        let mut full = base.clone();
+        for row in batch.rows() {
+            full.push(row).unwrap();
+        }
+        full.sort_dedup();
+        full
+    }
+
+    #[test]
+    fn splice_into_an_empty_base_is_the_batch() {
+        let batch = set(&[[3, 1], [1, 2]]);
+        let out = set(&[]).splice(&batch).unwrap();
+        assert_eq!(out, batch);
+        assert!(out.is_sorted_set());
+    }
+
+    #[test]
+    fn splice_of_an_empty_batch_is_the_base() {
+        let base = set(&[[1, 1], [2, 2]]);
+        assert_eq!(base.splice(&set(&[])).unwrap(), base);
+    }
+
+    #[test]
+    fn splice_of_rows_already_present_keeps_them_once() {
+        let base = set(&[[1, 1], [2, 2], [3, 3]]);
+        let out = base.splice(&set(&[[1, 1], [3, 3]])).unwrap();
+        assert_eq!(out, base);
+    }
+
+    #[test]
+    fn splice_interleaves_rows_before_between_and_after_the_base() {
+        let base = set(&[[2, 2], [4, 4], [6, 6]]);
+        let batch = set(&[[0, 9], [2, 2], [2, 3], [5, 0], [9, 9]]);
+        let out = base.splice(&batch).unwrap();
+        assert_eq!(out, resorted(&base, &batch));
+        assert_eq!(out.len(), 7);
+        assert!(out.is_sorted_set());
+    }
+
+    #[test]
+    fn splice_nullary_holds_the_empty_tuple_iff_either_side_does() {
+        let empty = Relation::new(Schema::of(&[]));
+        let mut one = empty.clone();
+        one.push(&[]).unwrap();
+        assert_eq!(empty.splice(&empty).unwrap().len(), 0);
+        assert_eq!(empty.splice(&one).unwrap().len(), 1);
+        assert_eq!(one.splice(&empty).unwrap().len(), 1);
+        assert_eq!(one.splice(&one).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn splice_rejects_an_arity_mismatch() {
+        let narrow = Relation::from_rows(Schema::of(&["a"]), [[v(1)]]).unwrap();
+        assert!(set(&[[1, 1]]).splice(&narrow).is_err());
+    }
+
+    #[test]
+    fn is_sorted_set_rejects_disorder_and_duplicates() {
+        assert!(set(&[[1, 2], [1, 3], [2, 0]]).is_sorted_set());
+        let unsorted = Relation::from_rows(Schema::of(&["a"]), [[v(2)], [v(1)]]).unwrap();
+        assert!(!unsorted.is_sorted_set());
+        let dup = Relation::from_rows(Schema::of(&["a"]), [[v(1)], [v(1)]]).unwrap();
+        assert!(!dup.is_sorted_set());
+        let mut nullary = Relation::new(Schema::of(&[]));
+        nullary.push(&[]).unwrap();
+        assert!(nullary.is_sorted_set());
+        nullary.push(&[]).unwrap();
+        assert!(!nullary.is_sorted_set());
     }
 
     #[test]

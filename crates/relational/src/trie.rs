@@ -300,14 +300,33 @@ fn attach_summaries(levels: &mut [TrieLevel], scratch: &mut Vec<ValueId>) {
             // The root level is one globally sorted, deduplicated group.
             nodes
         } else {
-            scratch.clear();
-            scratch.extend_from_slice(&level.vals);
-            scratch.sort_unstable();
-            scratch.dedup();
-            scratch.len() as u64
+            distinct_count(&level.vals, scratch)
         };
         level.summary = LevelSummary { nodes, distinct };
     }
+}
+
+/// Id-range-to-value ratio up to which [`distinct_count`] uses a bitmap
+/// (at most this many bits per value).
+const SUMMARY_BITMAP_FACTOR: usize = 64;
+
+/// The number of distinct ids in `vals`. Dictionary ids are dense, so when
+/// the largest id is within [`SUMMARY_BITMAP_FACTOR`] × `vals.len()` one
+/// bitmap pass counts them; sparser inputs sort a copy in `scratch`.
+fn distinct_count(vals: &[ValueId], scratch: &mut Vec<ValueId>) -> u64 {
+    let max_id = vals.iter().map(|v| v.0 as usize).max().unwrap_or(0);
+    if max_id <= SUMMARY_BITMAP_FACTOR * vals.len() {
+        let mut seen = vec![0u64; max_id / 64 + 1];
+        for v in vals {
+            seen[v.0 as usize / 64] |= 1 << (v.0 % 64);
+        }
+        return seen.iter().map(|w| u64::from(w.count_ones())).sum();
+    }
+    scratch.clear();
+    scratch.extend_from_slice(vals);
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch.len() as u64
 }
 
 /// A flat sorted trie over a relation under a fixed attribute order.
@@ -980,6 +999,18 @@ mod tests {
         let r = Trie::build_reference(&sample(), &["a".into(), "b".into()]).unwrap();
         assert_eq!(r.level_summary(0), t.level_summary(0));
         assert_eq!(r.level_summary(1), t.level_summary(1));
+    }
+
+    #[test]
+    fn distinct_count_agrees_on_dense_and_sparse_ids() {
+        let mut scratch = Vec::new();
+        // Dense: ids within 64x the length take the bitmap path.
+        let dense = [v(5), v(1), v(5), v(63), v(64), v(1)];
+        assert_eq!(distinct_count(&dense, &mut scratch), 4);
+        // Sparse: one huge id forces the sort path.
+        let sparse = [v(7), v(u32::MAX), v(7), v(3)];
+        assert_eq!(distinct_count(&sparse, &mut scratch), 3);
+        assert_eq!(distinct_count(&[], &mut scratch), 0);
     }
 
     #[test]

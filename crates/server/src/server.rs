@@ -30,9 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{Builder, JoinHandle};
 use std::time::{Duration, Instant};
-use xjoin_core::{
-    collect_atoms, parse_query_with_options, query_log_bound, ExecOptions, QueryOutput,
-};
+use xjoin_core::{parse_query_with_options, query_log_bound_of, ExecOptions, QueryOutput};
 use xjoin_store::{PreparedQuery, QueryService, Snapshot, StoreError, VersionedStore};
 
 /// How long a blocked read waits before re-checking the shutdown flag.
@@ -109,13 +107,15 @@ impl StmtEntry {
     }
 }
 
-/// Resolves the query's hypergraph + atom cardinalities on `snap` and
-/// returns `log2` of its AGM bound. No trie is built: relational atoms are
-/// resolved by reference and only twig path relations are materialised.
+/// Builds the query's hypergraph + atom cardinalities on `snap` and returns
+/// `log2` of its AGM bound. No trie is built and no relational atom is
+/// materialised: a plain or purely renamed atom is priced at its stored
+/// relation's size, one with constants or a repeated variable by a counting
+/// scan ([`xjoin_core::query_log_bound_of`]). Only twig path relations are
+/// derived. The price is bit-identical to `query_log_bound` over
+/// `collect_atoms`.
 fn price_query(snap: &Snapshot, query: &xjoin_core::MultiModelQuery) -> Result<f64, StoreError> {
-    let ctx = snap.ctx();
-    let atoms = collect_atoms(&ctx, query)?;
-    Ok(query_log_bound(&atoms)? / std::f64::consts::LN_2)
+    Ok(query_log_bound_of(&snap.ctx(), query)? / std::f64::consts::LN_2)
 }
 
 struct StmtCache {

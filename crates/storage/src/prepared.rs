@@ -25,8 +25,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use xjoin_core::{
-    collect_atoms, compute_order, execute_with_plan, stream_with_plan, validate_output, CoreError,
-    EngineKind, ExecOptions, MultiModelQuery, Parallelism, QueryOutput, ResolvedAtom, Rows, Term,
+    apply_terms, collect_atoms, compute_order, execute_with_plan, stream_with_plan,
+    validate_output, CoreError, EngineKind, ExecOptions, MultiModelQuery, Parallelism, QueryOutput,
+    Rows, Term,
 };
 use xmldb::{decompose, path_fingerprint, path_relation, PathSpec};
 
@@ -275,24 +276,30 @@ impl PreparedQuery {
             .ok_or_else(|| StoreError::Core(CoreError::UnknownRelation(name.to_owned())))
     }
 
-    /// Resolves a post-write miss on a base-relation atom through the delta
-    /// path: finds the newest cached base below `key.version`, checks the
-    /// snapshot's append log covers the gap, and builds one small run trie
-    /// per append batch. Returns `None` when no overlay is possible (no
-    /// cached base, a rewrite in between, log truncated) — the caller falls
-    /// back to a full rebuild.
+    /// Resolves a post-write miss through the delta path: finds the newest
+    /// cached base below `key.version`, checks the snapshot's append log of
+    /// relation `name` covers the gap, and builds one small run trie per
+    /// append batch — for a derived atom, from the batch with the atom's
+    /// `terms` applied ([`xjoin_core::apply_terms`]). Returns `None` when no
+    /// overlay is possible (no cached base, a rewrite in between, log
+    /// truncated) — the caller falls back to a full rebuild.
     ///
-    /// What comes back depends on `wants_layers` and the store's compaction
-    /// ratio: a fresh overlay within budget is cached layered and returned
-    /// as `(base, runs)`; an overlay past its ratio — or one a level-wise
-    /// engine needs solid — is merged (linear k-way pass over sorted layers,
-    /// cheaper than a full sort-build) and cached solid.
+    /// What comes back depends on `wants_layers`, the atom's kind, and the
+    /// store's compaction ratio: a fresh base-relation overlay within
+    /// budget is cached layered and returned as `(base, runs)`. Anything
+    /// else is merged (a splice of the sorted layers, cheaper than a full
+    /// sort-build) and cached solid: an overlay past its ratio, one a
+    /// level-wise engine needs solid, and every derived atom's. Derived
+    /// atoms merge at once because their write batches are small next to
+    /// the base and rarely reach the ratio, so kept layers would pile up
+    /// into many delta runs that every later read has to union.
     fn overlay_for(
         &self,
         snapshot: &Snapshot,
         key: &TrieKey,
         spec: &PreparedAtom,
         name: &str,
+        terms: Option<&[Term]>,
         wants_layers: bool,
     ) -> Result<Option<ResolvedOverlay>> {
         let policy = snapshot.delta_policy();
@@ -311,14 +318,19 @@ impl PreparedQuery {
         let mut delta = relational::DeltaTrie::new(Arc::clone(&base));
         let mut built = 0usize;
         for batch in &batches {
-            let run = Arc::new(Trie::build(batch, &spec.order)?);
+            let run = match terms {
+                None => Trie::build(batch, &spec.order)?,
+                Some(terms) => {
+                    Trie::build(&apply_terms(snapshot.db(), batch, terms)?, &spec.order)?
+                }
+            };
             built += 1;
-            delta.push_run(run)?;
+            delta.push_run(Arc::new(run))?;
         }
-        if !wants_layers || delta.needs_compaction(policy.compact_ratio) {
+        if terms.is_some() || !wants_layers || delta.needs_compaction(policy.compact_ratio) {
             let solid = Arc::new(delta.compact()?);
             registry.replace_with_solid(key, Arc::clone(&solid));
-            return Ok(Some((solid, Vec::new(), built)));
+            return Ok(Some((solid, Vec::new(), built + 1)));
         }
         let runs = delta.runs().to_vec();
         registry.insert_layered(key, Arc::new(delta), base_version);
@@ -329,10 +341,11 @@ impl PreparedQuery {
     /// registry. A cache miss re-materialises only the missing atom's
     /// relation — an update to one relation never re-derives the other
     /// atoms (in particular, it never re-walks the document for path
-    /// relations whose tries are still cached). A miss caused by an
-    /// [`crate::VersionedStore::append`] resolves through the delta path
-    /// instead when possible: the cached base is overlaid with small run
-    /// tries built from the append log (see [`PreparedQuery::overlay_for`]).
+    /// relations whose tries are still cached). A miss on a relational atom
+    /// — plain or positional — caused by a [`crate::VersionedStore::append`]
+    /// resolves through the delta path instead when possible: small run
+    /// tries built from the append log are overlaid on, or merged into, the
+    /// cached base (see [`PreparedQuery::overlay_for`]).
     ///
     /// `wants_layers` says whether the consumer walks the plan through
     /// `relational::LftjWalk` (LFTJ, the streaming engine, and every
@@ -354,10 +367,6 @@ impl PreparedQuery {
         let registry = snapshot.registry();
         let ctx = snapshot.ctx();
 
-        // Resolved relational atoms, computed at most once per execution
-        // (only when some derived atom misses); aligned with
-        // `self.query.relations`.
-        let mut resolved: Option<Vec<ResolvedAtom<'_>>> = None;
         let mut tries: Vec<Arc<Trie>> = Vec::with_capacity(keys.len());
         let mut layers: Vec<Vec<Arc<Trie>>> = Vec::with_capacity(keys.len());
         let mut cost = PlanBuildCost::default();
@@ -391,10 +400,12 @@ impl PreparedQuery {
             let build_start = Instant::now();
             let mut span = xjoin_obs::span("trie-build");
             span.set_attr(|| spec.display.clone());
-            match &spec.source {
-                AtomSource::Relation(name) => {
+            let trie = match &spec.source {
+                AtomSource::Relation(name) | AtomSource::Derived { base: name, .. } => {
+                    // `None` for a base-relation atom, which has no terms.
+                    let terms = self.query.relations[i].terms.as_deref();
                     if let Some((base, runs, built)) =
-                        self.overlay_for(snapshot, key, spec, name, wants_layers)?
+                        self.overlay_for(snapshot, key, spec, name, terms, wants_layers)?
                     {
                         cost.elapsed += build_start.elapsed();
                         cost.tries_built += built;
@@ -403,29 +414,28 @@ impl PreparedQuery {
                         continue;
                     }
                     let rel = ctx.db.relation(name).map_err(CoreError::from)?;
-                    tries.push(registry.get_or_build(key, || Trie::build(rel, &spec.order))?);
-                }
-                AtomSource::Derived { .. } => {
-                    // Resolution happens outside the build closure because it
-                    // can fail with a CoreError the closure's RelError result
-                    // cannot carry; a lost build race wastes one resolve.
-                    if resolved.is_none() {
-                        resolved = Some(ctx.resolve_atoms(&self.query)?);
+                    match terms {
+                        None => registry.get_or_build(key, || Trie::build(rel, &spec.order))?,
+                        Some(terms) => {
+                            // Derived outside the build closure because it can
+                            // fail with a CoreError the closure's RelError
+                            // result cannot carry; a lost build race wastes
+                            // one derivation.
+                            let derived = apply_terms(ctx.db, rel, terms)?;
+                            registry.get_or_build(key, || Trie::build(&derived, &spec.order))?
+                        }
                     }
-                    let atoms = resolved.as_ref().expect("just resolved");
-                    tries.push(
-                        registry.get_or_build(key, || Trie::build(atoms[i].rel(), &spec.order))?,
-                    );
                 }
                 AtomSource::TwigPath { twig, path, .. } => {
                     // Materialised lazily inside the closure: if a concurrent
                     // worker wins the build race, the document is not walked.
-                    tries.push(registry.get_or_build(key, || {
+                    registry.get_or_build(key, || {
                         let rel = path_relation(ctx.doc, ctx.index, &self.query.twigs[*twig], path);
                         Trie::build(&rel, &spec.order)
-                    })?);
+                    })?
                 }
             };
+            tries.push(trie);
             layers.push(Vec::new());
             cost.elapsed += build_start.elapsed();
             cost.tries_built += 1;

@@ -231,10 +231,11 @@ impl VersionedStore {
     /// version.
     ///
     /// The batch is deduplicated within itself but *not* against the stored
-    /// relation — overlap is legal (union views and compaction collapse it),
-    /// so append cost stays proportional to the batch. The full relation is
-    /// still updated eagerly (snapshots must serve exact state); what the
-    /// log saves is the per-query *trie rebuild*, not the relation merge.
+    /// relation — overlap is legal (union views and compaction collapse it).
+    /// The full relation is still updated eagerly (snapshots must serve
+    /// exact state), by one [`Relation::splice`] pass — a copy plus a binary
+    /// search per batch row, never a re-sort; what the log saves is the
+    /// per-query *trie rebuild*.
     pub fn append<R, V>(&self, name: &str, rows: R) -> crate::error::Result<u64>
     where
         R: IntoIterator,
@@ -253,11 +254,9 @@ impl VersionedStore {
             batch.push(&buf)?;
         }
         batch.sort_dedup();
-        let mut full = db.relation(name)?.clone();
-        for row in batch.rows() {
-            full.push(row)?;
-        }
-        full.sort_dedup();
+        // Stored relations are sorted sets, so one splice pass merges the
+        // batch in without re-sorting the relation.
+        let full = db.relation(name)?.splice(&batch)?;
         db.add_relation(name, full);
         let version = db.relation_version(name).expect("relation just added");
 

@@ -9,12 +9,13 @@
 //! forced multi-thread pass), so the whole suite runs in both serial and
 //! parallel service configurations.
 
-use bench::workloads::{bookstore, decoded, graph_instance};
+use bench::workloads::{bookstore, churn_instance, decoded, graph_instance};
 use relational::Value;
 use std::sync::Arc;
-use xjoin_core::{parse_query, EngineKind, ExecOptions};
+use xjoin_core::{collect_atoms, parse_query, query_log_bound, EngineKind, ExecOptions};
 use xjoin_serve::{
-    AdmissionPolicy, Client, ErrorCode, RequestOpts, Response, Server, ServerConfig, ServerHandle,
+    expect_rows, AdmissionPolicy, Client, ErrorCode, RequestOpts, Response, Server, ServerConfig,
+    ServerHandle,
 };
 use xjoin_store::VersionedStore;
 
@@ -156,6 +157,76 @@ fn prepare_exec_round_trip_hits_the_statement_cache() {
         };
         assert_eq!(multiset(rows.rows), expected);
     }
+    handle.shutdown();
+}
+
+/// A positional statement re-executed over the wire after an append: the
+/// written atom is refreshed by merging the append batch into its cached
+/// trie (one compaction, no full build), the rows equal a from-scratch
+/// store's, and the price cached for the new epoch equals pricing the
+/// from-scratch store over materialised atoms.
+#[test]
+fn exec_after_append_merges_the_written_atom_and_reprices_exactly() {
+    const CHURN_QUERY: &str = "Q(a, b, c) :- F(a), R(a, b), S(b, c), T(a, c)";
+    let inst = churn_instance(40, 160, 12, 5);
+    let store = Arc::new(VersionedStore::new(inst.db, inst.doc));
+    let handle = Server::spawn(
+        Arc::clone(&store),
+        ServerConfig {
+            workers: workers(),
+            ..Default::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let opts = ExecOptions::for_engine(EngineKind::Lftj);
+    let stmt_id = match client.prepare(CHURN_QUERY, &opts).unwrap() {
+        Response::Prepared { stmt_id, .. } => stmt_id,
+        other => panic!("prepare failed: {other:?}"),
+    };
+    expect_rows(client.exec(stmt_id, RequestOpts::default()).unwrap());
+
+    let edges = [(0, 1), (1, 2), (0, 2), (3, 7), (7, 3)];
+    store
+        .append(
+            "R",
+            edges
+                .iter()
+                .map(|&(u, v)| vec![Value::Int(u), Value::Int(v)]),
+        )
+        .unwrap();
+    let before = store.registry().stats();
+    let rows = expect_rows(client.exec(stmt_id, RequestOpts::default()).unwrap());
+    let after = store.registry().stats();
+    assert_eq!(
+        after.compactions,
+        before.compactions + 1,
+        "R was not merged"
+    );
+    assert_eq!(after.builds, before.builds, "a trie was rebuilt in full");
+
+    let snap = store.snapshot();
+    let fresh = VersionedStore::new(snap.db().clone(), snap.doc().clone());
+    let fresh_snap = fresh.snapshot();
+    let query = parse_query(CHURN_QUERY).unwrap();
+    let out = xjoin_core::execute(&fresh_snap.ctx(), &query, &opts).unwrap();
+    assert_eq!(
+        multiset(rows.rows),
+        multiset(decoded(fresh_snap.db(), &out.results))
+    );
+
+    let cached_price = match client.prepare(CHURN_QUERY, &opts).unwrap() {
+        Response::Prepared {
+            log2_bound, cached, ..
+        } => {
+            assert!(cached);
+            log2_bound
+        }
+        other => panic!("prepare failed: {other:?}"),
+    };
+    let atoms = collect_atoms(&fresh_snap.ctx(), &query).unwrap();
+    let fresh_price = query_log_bound(&atoms).unwrap() / std::f64::consts::LN_2;
+    assert_eq!(cached_price.to_bits(), fresh_price.to_bits());
     handle.shutdown();
 }
 
