@@ -305,7 +305,9 @@ fn main() {
         "quick" => {
             exp_bounds();
             exp_fig3(max_n.min(4), &mut report);
+            exp_lemma35(&mut report);
             exp_bookstore(&mut report);
+            exp_ablation(&mut report);
             exp_store(&mut report);
             exp_threads(&threads, &mut report);
             build_ok = exp_build(&mut report);
@@ -663,6 +665,15 @@ fn exp_ablation(report: &mut Report) {
     let idx = inst.index();
     let ctx = DataContext::new(&inst.db, &inst.doc, &idx);
     let q = fig3_query();
+    // Every XJoin variant and every plan-based engine must return exactly
+    // the default run's result set (compared in its column order).
+    let reference = execute(&ctx, &q, &ExecOptions::default())
+        .expect("xjoin runs")
+        .results;
+    let same_set = |out: &relational::Relation| {
+        out.reorder(reference.schema().attrs())
+            .is_ok_and(|r| r.set_eq(&reference))
+    };
     println!(
         "{:<34} {:>10} {:>12} {:>12}",
         "configuration", "result", "max interm.", "time ms"
@@ -703,6 +714,7 @@ fn exp_ablation(report: &mut Report) {
         let t0 = Instant::now();
         let out = execute(&ctx, &q, &opts).expect("xjoin runs");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert!(same_set(&out.results), "xjoin variant `{name}` diverged");
         report.add(
             format!("ablation/xjoin/{name}"),
             ms,
@@ -776,13 +788,15 @@ fn exp_ablation(report: &mut Report) {
         "{:<34} {:>10} {:>12} {:>12}",
         "engine", "result", "max interm.", "time ms"
     );
-    let mut reference: Option<usize> = None;
     for kind in EngineKind::all() {
         let t0 = Instant::now();
         let out = execute(&ctx, &q, &ExecOptions::for_engine(kind)).expect("engine runs");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let n = out.results.len();
-        assert_eq!(*reference.get_or_insert(n), n, "engine {kind} diverged");
+        assert_eq!(reference.len(), n, "engine {kind} diverged");
+        if kind.is_plan_based() {
+            assert!(same_set(&out.results), "engine {kind} diverged");
+        }
         report.add(
             format!("ablation/engine/{kind}"),
             ms,

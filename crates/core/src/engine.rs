@@ -26,17 +26,21 @@
 //!   as soon as both endpoints are bound;
 //! * `partial_validation` — runs the (memoised) structure check on bound
 //!   prefixes instead of only at the end.
+//!
+//! The expansion loop itself is [`relational::generic::levelwise_join`],
+//! which [`crate::EngineKind::Generic`] runs unfiltered; XJoin hands it the
+//! two filters as its per-candidate hook, and both engines finish with the
+//! same structure validation and projection (see [`crate::exec`]).
 
 use crate::atoms::{collect_atoms, Atoms};
 use crate::error::Result;
-use crate::exec::{validate_output, EngineKind, QueryOutput};
-use crate::order::{compute_order, OrderStrategy};
+use crate::exec::{execute, execute_with_plan, EngineKind, ExecOptions, QueryOutput};
+use crate::order::OrderStrategy;
 use crate::query::{DataContext, MultiModelQuery};
 use crate::validate::TwigValidator;
-use relational::leapfrog::{leapfrog_foreach, SliceCursor};
-use relational::{Attr, JoinPlan, JoinStats, Relation, Schema, ValueId, ValueRange};
+use relational::generic::levelwise_join;
+use relational::{Attr, JoinPlan, JoinStats, Relation, ValueId, ValueRange};
 use std::collections::HashSet;
-use std::time::Instant;
 use xmldb::transform::{ad_edge_relation, decompose};
 
 /// Configuration of an XJoin run.
@@ -53,42 +57,46 @@ pub struct XJoinConfig {
     pub ad_filter: bool,
 }
 
-/// Sentinel for "no trie level bound yet".
-const NO_NODE: u32 = u32::MAX;
-
 /// One A-D edge filter: order positions of the endpoints plus the legal
 /// value pairs.
 pub(crate) type AdCheck = (usize, usize, HashSet<(ValueId, ValueId)>);
 
+impl XJoinConfig {
+    /// The [`ExecOptions`] running [`EngineKind::XJoin`] under this
+    /// configuration.
+    fn options(&self) -> ExecOptions {
+        ExecOptions {
+            engine: EngineKind::XJoin,
+            order: self.order.clone(),
+            partial_validation: self.partial_validation,
+            ad_filter: self.ad_filter,
+            ..ExecOptions::default()
+        }
+    }
+}
+
 /// Runs XJoin on a multi-model query: lowers the query to atoms, builds a
 /// plan (constructing fresh tries), and executes it. `stats.elapsed` covers
 /// the whole run — lowering, trie construction, and execution — matching
-/// what [`crate::baseline::baseline`] times.
+/// what [`crate::baseline::baseline`] times. Shorthand for
+/// [`crate::execute`] on [`EngineKind::XJoin`] with `cfg`'s order and
+/// filters.
 pub fn xjoin(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
     cfg: &XJoinConfig,
 ) -> Result<QueryOutput> {
-    let start = Instant::now();
-    let atoms = collect_atoms(ctx, query)?;
-    let order = compute_order(&atoms, &cfg.order)?;
-    // Output attributes are checked here, before any trie is built, so a
-    // typo'd projection fails fast instead of after the whole join.
-    validate_output(query, &order)?;
-    let refs = atoms.rel_refs();
-    let plan = JoinPlan::new(&refs, &order)?;
-    let mut out = xjoin_with_plan(ctx, query, cfg, &plan, atoms.sizes(), atoms.first_path_atom)?;
-    out.stats.elapsed = start.elapsed();
-    Ok(out)
+    execute(ctx, query, &cfg.options())
 }
 
 /// Executes XJoin over an already-assembled [`JoinPlan`] (whose tries may
-/// come from a shared cache — see the `xjoin-store` crate). The plan's order
-/// must cover the query's variables; `atom_sizes` / `first_path_atom`
-/// describe the plan's atoms as [`Atoms::sizes`] /
-/// [`Atoms::first_path_atom`] would. `stats.elapsed` covers execution over
-/// the given plan only — trie construction is the caller's (typically a
-/// cache's) concern.
+/// come from a shared cache — see the `xjoin-store` crate; delta-run
+/// overlays are unioned lazily). The plan's order must cover the query's
+/// variables; `atom_sizes` / `first_path_atom` describe the plan's atoms as
+/// [`Atoms::sizes`] / [`Atoms::first_path_atom`] would. `stats.elapsed`
+/// covers execution over the given plan only — trie construction is the
+/// caller's (typically a cache's) concern. Shorthand for
+/// [`crate::execute_with_plan`] on [`EngineKind::XJoin`].
 pub fn xjoin_with_plan(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
@@ -97,14 +105,13 @@ pub fn xjoin_with_plan(
     atom_sizes: Vec<(String, usize)>,
     first_path_atom: usize,
 ) -> Result<QueryOutput> {
-    xjoin_with_plan_in_range(
+    execute_with_plan(
         ctx,
         query,
-        cfg,
+        &cfg.options(),
         plan,
         atom_sizes,
         first_path_atom,
-        &ValueRange::all(),
     )
 }
 
@@ -146,181 +153,57 @@ pub(crate) fn build_ad_checks(
     ad_checks
 }
 
-/// Range-restricted [`xjoin_with_plan`]: the level-wise expansion only
-/// considers first-variable candidates inside `root`, making the run an
-/// independent morsel of the full join. Over a disjoint cover of the value
-/// space, per-stage intermediate counts (and results) partition exactly —
-/// summing each stage across morsels reproduces the unrestricted run's
-/// Lemma 3.5 series. The morsel scheduler in [`crate::morsel`] drives the
-/// crate-internal body directly (sharing one set of A-D checks across
-/// morsels, with a projection-free query and empty `atom_sizes` so each
-/// morsel reports only its own expansion stages).
-#[allow(clippy::too_many_arguments)]
-pub fn xjoin_with_plan_in_range(
+/// One morsel of the level-wise expansion under XJoin's candidate filters:
+/// the shared A-D checks (see [`build_ad_checks`]) and, with
+/// `partial_validation`, the structure check of every bound prefix. The
+/// per-twig validators are constructed per call — they carry mutable
+/// memoisation and cannot be shared across threads. With no filter in
+/// force this is the plain generic expansion.
+pub(crate) fn expand_filtered(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
-    cfg: &XJoinConfig,
     plan: &JoinPlan,
-    atom_sizes: Vec<(String, usize)>,
-    first_path_atom: usize,
-    root: &ValueRange,
-) -> Result<QueryOutput> {
-    validate_output(query, plan.order())?;
-    let ad_checks = build_ad_checks(ctx, query, plan.order(), cfg.ad_filter);
-    xjoin_with_plan_body(
-        ctx,
-        query,
-        cfg,
-        plan,
-        atom_sizes,
-        first_path_atom,
-        root,
-        &ad_checks,
-    )
-}
-
-/// The level-wise XJoin body over pre-built A-D checks (see
-/// [`build_ad_checks`]); per-twig validators are constructed per call — they
-/// carry mutable memoisation and cannot be shared across threads.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn xjoin_with_plan_body(
-    ctx: &DataContext<'_>,
-    query: &MultiModelQuery,
-    cfg: &XJoinConfig,
-    plan: &JoinPlan,
-    atom_sizes: Vec<(String, usize)>,
-    first_path_atom: usize,
     root: &ValueRange,
     ad_checks: &[Vec<AdCheck>],
-) -> Result<QueryOutput> {
-    let start = Instant::now();
-    let order: Vec<Attr> = plan.order().to_vec();
-    validate_output(query, &order)?;
-    let mut stats = JoinStats::default();
-    for (name, size) in atom_sizes.iter().skip(first_path_atom) {
-        stats.record(format!("materialise {name}"), *size);
-    }
-
-    // Per-twig validators (used by partial validation and the final filter).
-    let mut validators: Vec<TwigValidator<'_>> = query
-        .twigs
-        .iter()
-        .map(|t| TwigValidator::new(ctx.doc, ctx.index, t, &order))
-        .collect::<Result<_>>()?;
-
-    let schema = Schema::new(order.iter().cloned()).expect("order vars distinct");
-    let natoms = plan.tries().len();
-
-    let (tuples, count) = if plan.has_empty_atom() {
-        for var in &order {
-            stats.record_var(var, 0);
-        }
-        (Vec::new(), 0)
+    partial_validation: bool,
+) -> Result<(Relation, JoinStats)> {
+    let mut validators: Vec<TwigValidator<'_>> = if partial_validation {
+        query
+            .twigs
+            .iter()
+            .map(|t| TwigValidator::new(ctx.doc, ctx.index, t, plan.order()))
+            .collect::<Result<_>>()?
     } else {
-        let mut width = 0usize;
-        let mut tuples: Vec<ValueId> = Vec::new();
-        let mut ptrs: Vec<u32> = vec![NO_NODE; natoms];
-        let mut count = 1usize;
-        let mut cand: Vec<ValueId> = Vec::with_capacity(order.len());
-
-        for (d, vp) in plan.var_plans().iter().enumerate() {
-            let mut next_tuples: Vec<ValueId> = Vec::new();
-            let mut next_ptrs: Vec<u32> = Vec::new();
-            let mut next_count = 0usize;
-            let mut range_starts: Vec<u32> = Vec::with_capacity(vp.participants.len());
-            let mut cursors: Vec<SliceCursor<'_>> = Vec::with_capacity(vp.participants.len());
-
-            for t in 0..count {
-                let prefix = &tuples[t * width..t * width + width];
-                let tuple_ptrs = &ptrs[t * natoms..t * natoms + natoms];
-                range_starts.clear();
-                cursors.clear();
-                for p in &vp.participants {
-                    let trie = &plan.tries()[p.atom];
-                    let mut range = if p.level == 0 {
-                        trie.root_range()
-                    } else {
-                        trie.children(p.level - 1, tuple_ptrs[p.atom])
-                    };
-                    if d == 0 {
-                        range = root.clamp_nodes(trie, p.level, range);
-                    }
-                    range_starts.push(range.start);
-                    cursors.push(SliceCursor::new(trie.values(p.level, range)));
-                }
-
-                leapfrog_foreach(&mut cursors, |v, cs| {
-                    // "Filter E by satisfying relation between p and A":
-                    // the cut A-D edges…
-                    for (pa, pd, set) in &ad_checks[d] {
-                        let va = if *pa == d { v } else { prefix[*pa] };
-                        let vd = if *pd == d { v } else { prefix[*pd] };
-                        if !set.contains(&(va, vd)) {
-                            return;
-                        }
-                    }
-                    // …and (optionally) partial structure validation.
-                    if cfg.partial_validation {
-                        cand.clear();
-                        cand.extend_from_slice(prefix);
-                        cand.push(v);
-                        for val in validators.iter_mut() {
-                            if val.involves_position(d) && !val.check_prefix(&cand, d + 1) {
-                                return;
-                            }
-                        }
-                    }
-                    next_tuples.extend_from_slice(prefix);
-                    next_tuples.push(v);
-                    let base = next_ptrs.len();
-                    next_ptrs.extend_from_slice(tuple_ptrs);
-                    for (k, p) in vp.participants.iter().enumerate() {
-                        next_ptrs[base + p.atom] = range_starts[k] + cs[k].pos() as u32;
-                    }
-                    next_count += 1;
-                });
-            }
-
-            tuples = next_tuples;
-            ptrs = next_ptrs;
-            count = next_count;
-            width = d + 1;
-            stats.record_var(&vp.var, count);
-            if count == 0 {
-                for rest in &plan.var_plans()[d + 1..] {
-                    stats.record_var(&rest.var, 0);
-                }
-                break;
-            }
-        }
-        (tuples, count)
+        Vec::new()
     };
-
-    // Final structure validation ("Filter R by validating structure of Sx").
-    let width = order.len();
-    let mut result = Relation::with_capacity(schema, count);
-    for t in 0..count {
-        let tuple = &tuples[t * width..t * width + width];
-        if validators.iter_mut().all(|v| v.check(tuple)) {
-            result.push(tuple).expect("width matches arity");
+    if validators.is_empty() && ad_checks.iter().all(Vec::is_empty) {
+        return Ok(levelwise_join(plan, root, None));
+    }
+    let mut cand: Vec<ValueId> = Vec::with_capacity(plan.order().len());
+    let mut keep = |d: usize, prefix: &[ValueId], v: ValueId| {
+        // "Filter E by satisfying relation between p and A": the cut A-D
+        // edges…
+        for (pa, pd, set) in &ad_checks[d] {
+            let va = if *pa == d { v } else { prefix[*pa] };
+            let vd = if *pd == d { v } else { prefix[*pd] };
+            if !set.contains(&(va, vd)) {
+                return false;
+            }
         }
-    }
-    if !query.twigs.is_empty() {
-        stats.record("validate structure", result.len());
-    }
-
-    if let Some(out_attrs) = &query.output {
-        result = result.project(out_attrs)?;
-    }
-    stats.output_rows = result.len();
-    stats.elapsed = start.elapsed();
-    Ok(QueryOutput {
-        results: result,
-        stats,
-        order,
-        atom_sizes,
-        engine: EngineKind::XJoin,
-    })
+        // …and (optionally) partial structure validation.
+        if !validators.is_empty() {
+            cand.clear();
+            cand.extend_from_slice(prefix);
+            cand.push(v);
+            for val in validators.iter_mut() {
+                if val.involves_position(d) && !val.check_prefix(&cand, d + 1) {
+                    return false;
+                }
+            }
+        }
+        true
+    };
+    Ok(levelwise_join(plan, root, Some(&mut keep)))
 }
 
 /// Re-exported helper: lowers a query to its atom set without running the

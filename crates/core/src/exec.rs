@@ -55,18 +55,17 @@
 
 use crate::atoms::{collect_atoms, Atoms};
 use crate::baseline::{baseline, BaselineConfig, RelAlg, XmlAlg};
-use crate::engine::{xjoin_with_plan, XJoinConfig};
+use crate::engine::{build_ad_checks, expand_filtered};
 use crate::error::{CoreError, Result};
 use crate::mmql::parse_query_with_options;
-use crate::morsel::{execute_parallel, Parallelism};
+use crate::morsel::{concat, map_morsels, Parallelism};
 use crate::order::{compute_order, OrderStrategy};
 use crate::query::{variables_of, DataContext, MultiModelQuery, RelAtom, Term};
 use crate::stream::{stream_with_plan, Rows};
 use crate::validate::TwigValidator;
-use relational::generic::levelwise_join;
 use relational::hashjoin::multiway_hash_join;
 use relational::lftj::lftj_in_range_counted;
-use relational::{Attr, JoinPlan, JoinStats, Relation, ValueRange};
+use relational::{Attr, JoinPlan, JoinStats, Relation, Schema};
 use std::fmt;
 use std::time::Instant;
 use xmldb::TwigPattern;
@@ -130,11 +129,35 @@ impl EngineKind {
     /// (and can therefore be served by the `xjoin-store` cache). The
     /// baseline and the hash join consume raw relations instead.
     pub fn is_plan_based(&self) -> bool {
-        matches!(
-            self,
-            EngineKind::XJoin | EngineKind::XJoinStream | EngineKind::Lftj | EngineKind::Generic
-        )
+        self.strategy().is_some()
     }
+
+    /// The one place the plan-based engine names map onto the two
+    /// enumeration strategies (`None` for the baseline and the hash join).
+    pub(crate) fn strategy(&self) -> Option<Strategy> {
+        match self {
+            EngineKind::XJoin => Some(Strategy::LevelWise { xjoin: true }),
+            EngineKind::Generic => Some(Strategy::LevelWise { xjoin: false }),
+            EngineKind::XJoinStream => Some(Strategy::Walk { per_tuple: true }),
+            EngineKind::Lftj => Some(Strategy::Walk { per_tuple: false }),
+            EngineKind::HashJoin | EngineKind::Baseline { .. } => None,
+        }
+    }
+}
+
+/// The two enumeration strategies behind the four plan-based engine names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Strategy {
+    /// Breadth-first expansion (the paper's Algorithm 1) through
+    /// [`relational::generic::levelwise_join`], materialising and counting
+    /// every intermediate. `xjoin` adds XJoin's per-candidate filters (when
+    /// [`ExecOptions::ad_filter`] / [`ExecOptions::partial_validation`]
+    /// enable them) and its `materialise <path>` stage records.
+    LevelWise { xjoin: bool },
+    /// Depth-first [`relational::LftjWalk`]. `per_tuple` validates each
+    /// walked tuple as it streams (with `limit` pushed into the walk);
+    /// otherwise the full enumeration is validated afterwards.
+    Walk { per_tuple: bool },
 }
 
 impl fmt::Display for EngineKind {
@@ -193,15 +216,6 @@ impl ExecOptions {
         ExecOptions {
             engine,
             ..ExecOptions::default()
-        }
-    }
-
-    /// The XJoin engine-body configuration embedded in these options.
-    pub fn xjoin_config(&self) -> XJoinConfig {
-        XJoinConfig {
-            order: self.order.clone(),
-            partial_validation: self.partial_validation,
-            ad_filter: self.ad_filter,
         }
     }
 }
@@ -450,13 +464,14 @@ fn apply_limit(out: &mut QueryOutput, opts: &ExecOptions) {
     }
 }
 
-/// The level-wise XJoin engine ([`EngineKind::XJoin`], Algorithm 1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LevelWiseXJoin;
+/// Every plan-based engine ([`EngineKind::is_plan_based`]): resolve, build
+/// a fresh trie plan, and run it through [`execute_with_plan`].
+#[derive(Debug, Clone, Copy)]
+pub struct PlanEngine(EngineKind);
 
-impl Engine for LevelWiseXJoin {
+impl Engine for PlanEngine {
     fn kind(&self) -> EngineKind {
-        EngineKind::XJoin
+        self.0
     }
 
     fn execute(
@@ -465,79 +480,26 @@ impl Engine for LevelWiseXJoin {
         query: &MultiModelQuery,
         opts: &ExecOptions,
     ) -> Result<QueryOutput> {
-        execute_fresh_plan(ctx, query, opts, self.kind())
-    }
-}
-
-/// The depth-first streaming XJoin engine ([`EngineKind::XJoinStream`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamingXJoin;
-
-impl Engine for StreamingXJoin {
-    fn kind(&self) -> EngineKind {
-        EngineKind::XJoinStream
+        execute_fresh_plan(ctx, query, opts, self.0)
     }
 
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        execute_fresh_plan(ctx, query, opts, self.kind())
-    }
-
+    /// Streaming walks enumerate lazily; the other kinds materialise first.
     fn stream<'a>(
         &self,
         ctx: &DataContext<'a>,
         query: &'a MultiModelQuery,
         opts: &ExecOptions,
     ) -> Result<Rows<'a>> {
+        if self.0.strategy() != Some(Strategy::Walk { per_tuple: true }) {
+            let out = self.execute(ctx, query, opts)?;
+            return Ok(Rows::from_relation(out.results, out.order));
+        }
         let (atoms, order) = resolve(ctx, query, opts)?;
         let plan = {
             let _span = xjoin_obs::span("plan-build");
             JoinPlan::new(&atoms.rel_refs(), &order)?.with_ladder(opts.order.ladder())
         };
         stream_with_plan(ctx, query, plan, opts)
-    }
-}
-
-/// Raw LFTJ over the lowered atoms ([`EngineKind::Lftj`]): enumerate fully,
-/// then validate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LftjEngine;
-
-impl Engine for LftjEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Lftj
-    }
-
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        execute_fresh_plan(ctx, query, opts, self.kind())
-    }
-}
-
-/// The relational level-wise generic join ([`EngineKind::Generic`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GenericEngine;
-
-impl Engine for GenericEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Generic
-    }
-
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        execute_fresh_plan(ctx, query, opts, self.kind())
     }
 }
 
@@ -642,14 +604,11 @@ impl Engine for BaselineEngine {
 /// Returns the engine implementing `kind`.
 pub fn engine_for(kind: EngineKind) -> Box<dyn Engine> {
     match kind {
-        EngineKind::XJoin => Box::new(LevelWiseXJoin),
-        EngineKind::XJoinStream => Box::new(StreamingXJoin),
-        EngineKind::Lftj => Box::new(LftjEngine),
-        EngineKind::Generic => Box::new(GenericEngine),
         EngineKind::HashJoin => Box::new(HashJoinEngine),
         EngineKind::Baseline { rel_alg, xml_alg } => Box::new(BaselineEngine {
             config: BaselineConfig { rel_alg, xml_alg },
         }),
+        plan_based => Box::new(PlanEngine(plan_based)),
     }
 }
 
@@ -682,11 +641,12 @@ pub fn stream<'a>(
 /// [`Atoms::first_path_atom`] would.
 ///
 /// When [`ExecOptions::parallelism`] resolves to more than one worker, the
-/// execution routes through the morsel scheduler (see [`crate::morsel`]):
-/// the first variable's domain is partitioned and each part runs as an
-/// independent sub-join on a thread pool, with per-morsel outputs (and
-/// per-stage stats) merged in domain order — results are identical to a
-/// serial run. Zero-variable plans always run serially.
+/// first variable's domain is partitioned into morsels (see
+/// [`crate::morsel`]) and each part runs as an independent sub-join on a
+/// thread pool, with per-morsel outputs (and per-stage stats) merged in
+/// domain order — results are identical to a serial run. Zero-variable
+/// plans always run serially. Layered plans (delta runs over cached base
+/// tries) run on every kind.
 pub fn execute_with_plan(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
@@ -698,67 +658,76 @@ pub fn execute_with_plan(
     let start = Instant::now();
     let mut exec_span = xjoin_obs::span("execute");
     exec_span.set_attr(|| opts.engine.to_string());
-    if opts.engine.is_plan_based() && opts.parallelism.workers() > 1 && !plan.var_plans().is_empty()
-    {
-        return execute_parallel(ctx, query, opts, plan, atom_sizes, first_path_atom);
-    }
-    match opts.engine {
-        EngineKind::XJoin => {
-            let mut out = xjoin_with_plan(
-                ctx,
-                query,
-                &opts.xjoin_config(),
-                plan,
-                atom_sizes,
-                first_path_atom,
-            )?;
-            apply_limit(&mut out, opts);
-            Ok(out)
+    let strategy = opts.engine.strategy().ok_or_else(|| {
+        CoreError::Unsupported(format!(
+            "engine `{}` does not execute from a trie plan",
+            opts.engine
+        ))
+    })?;
+    validate_output(query, plan.order())?;
+    let workers = if plan.var_plans().is_empty() {
+        1
+    } else {
+        opts.parallelism.workers()
+    };
+    let mut stats = JoinStats::default();
+    let parts = match strategy {
+        Strategy::LevelWise { xjoin } => {
+            if xjoin {
+                for (name, size) in atom_sizes.iter().skip(first_path_atom) {
+                    stats.record(format!("materialise {name}"), *size);
+                }
+            }
+            // A-D checks are immutable per-query state (each one a document
+            // scan): build once, share read-only across all morsel workers.
+            let ad_checks = build_ad_checks(ctx, query, plan.order(), xjoin && opts.ad_filter);
+            let partial = xjoin && opts.partial_validation;
+            let outs = map_morsels(plan, workers, |range| {
+                expand_filtered(ctx, query, plan, range, &ad_checks, partial)
+            })?;
+            // Per-stage counts partition across the disjoint cover; summing
+            // reproduces the serial Lemma 3.5 series exactly.
+            for (i, stage) in outs[0].1.stages.iter().enumerate() {
+                let tuples = outs.iter().map(|(_, st)| st.stages[i].tuples).sum();
+                stats.record(stage.label.clone(), tuples);
+            }
+            outs.into_iter().map(|(rel, _)| rel).collect()
         }
-        EngineKind::XJoinStream => {
-            let rows = Rows::from_walk(ctx, query, plan.clone(), opts.limit)?;
-            drain_rows(rows, plan.order().to_vec(), atom_sizes, opts.engine, start)
-        }
-        EngineKind::Lftj => {
-            validate_output(query, plan.order())?;
-            let (raw, counters) = lftj_in_range_counted(plan, &ValueRange::all());
-            let mut stats = JoinStats {
-                reorders: counters.reorders,
-                estimate_probes: counters.estimate_probes,
-                ..JoinStats::default()
+        Strategy::Walk { per_tuple: true } => {
+            // Materialised outputs drain in domain order whatever
+            // `unordered` says (the flag only affects the streaming surface).
+            let rows = if workers > 1 {
+                Rows::from_parallel(ctx, query, plan.clone(), opts.limit, workers, true)?
+            } else {
+                Rows::from_walk(ctx, query, plan.clone(), opts.limit)?
             };
-            stats.record("lftj enumerate", raw.len());
-            finish(
-                ctx,
-                query,
-                plan.order().to_vec(),
-                raw,
-                stats,
-                atom_sizes,
-                opts,
-                opts.engine,
-                start,
-            )
+            return drain_rows(rows, plan.order().to_vec(), atom_sizes, opts.engine, start);
         }
-        EngineKind::Generic => {
-            validate_output(query, plan.order())?;
-            let (raw, stats) = levelwise_join(plan);
-            finish(
-                ctx,
-                query,
-                plan.order().to_vec(),
-                raw,
-                stats,
-                atom_sizes,
-                opts,
-                opts.engine,
-                start,
-            )
+        Strategy::Walk { per_tuple: false } => {
+            let outs = map_morsels(plan, workers, |range| {
+                Ok(lftj_in_range_counted(plan, range))
+            })?;
+            for (_, counters) in &outs {
+                stats.reorders += counters.reorders;
+                stats.estimate_probes += counters.estimate_probes;
+            }
+            let parts: Vec<Relation> = outs.into_iter().map(|(rel, _)| rel).collect();
+            stats.record("lftj enumerate", parts.iter().map(Relation::len).sum());
+            parts
         }
-        kind @ (EngineKind::HashJoin | EngineKind::Baseline { .. }) => Err(CoreError::Unsupported(
-            format!("engine `{kind}` does not execute from a trie plan"),
-        )),
-    }
+    };
+    let schema = Schema::new(plan.order().iter().cloned()).expect("order vars distinct");
+    finish(
+        ctx,
+        query,
+        plan.order().to_vec(),
+        concat(schema, parts),
+        stats,
+        atom_sizes,
+        opts,
+        opts.engine,
+        start,
+    )
 }
 
 /// Builds multi-model queries — MMQL text or programmatic atoms — together

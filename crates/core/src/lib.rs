@@ -75,7 +75,7 @@ pub use bounds::{
     mixed_hypergraph, prefix_bounds, query_bound, query_exponent, query_log_bound,
     query_log_bound_of,
 };
-pub use engine::{lower, xjoin, xjoin_with_plan, xjoin_with_plan_in_range, XJoinConfig};
+pub use engine::{lower, xjoin, xjoin_with_plan, XJoinConfig};
 pub use error::{CoreError, Result};
 pub use exec::{
     engine_for, execute, execute_with_plan, stream, validate_output, Engine, EngineKind,
@@ -93,5 +93,5 @@ pub use query::{
     Term,
 };
 pub use relational::Ladder;
-pub use stream::{stream_with_plan, xjoin_rows, xjoin_rows_with_plan, Rows, RowsStats};
+pub use stream::{stream_with_plan, Rows, RowsStats};
 pub use validate::TwigValidator;

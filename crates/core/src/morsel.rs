@@ -1,25 +1,27 @@
 //! Morsel-driven intra-query parallelism for the plan-based engines.
 //!
-//! The worst-case optimal kernels in this workspace (level-wise XJoin,
-//! streaming XJoin, LFTJ, the generic level-wise join) all bind variables in
-//! one global order, starting from a leapfrog intersection over the root
-//! levels of the participating tries. Partitioning the **first** variable's
-//! value domain therefore splits the whole join into independent sub-joins
-//! ("morsels"): each morsel is its own trie walk, no coordination is needed,
-//! and the AGM-bounded total work divides across cores.
+//! Both enumeration strategies in this workspace (the level-wise driver
+//! behind XJoin and the generic join, the depth-first walk behind LFTJ and
+//! streaming XJoin) bind variables in one global order, starting from a
+//! leapfrog intersection over the root levels of the participating tries.
+//! Partitioning the **first** variable's value domain therefore splits the
+//! whole join into independent sub-joins ("morsels"): each morsel is its
+//! own expansion or walk, no coordination is needed, and the AGM-bounded
+//! total work divides across cores.
 //!
-//! Three pieces implement this:
+//! Three pieces implement this, one per concern — there is no per-engine
+//! code here:
 //!
 //! * [`Parallelism`] — the knob on [`crate::ExecOptions`]: serial, a fixed
 //!   thread count, or all available cores;
 //! * [`partition_root`] — morsel planning: split the root trie's first-level
 //!   values into `K` contiguous [`ValueRange`]s that disjointly cover the
 //!   entire value space (so no atom's root value can fall between morsels);
-//! * the scheduler — a crate-internal `execute_parallel` body for
-//!   materialising engines (a scoped `std` thread pool pulling morsel
-//!   indices from an atomic counter, merging per-morsel outputs in domain
-//!   order, reached through [`crate::execute_with_plan`]) and a
-//!   channel-backed tuple source for the streaming engine (detached workers
+//! * the scheduler — a crate-internal `map_morsels` that runs one job per
+//!   morsel on a scoped `std` thread pool (workers pull morsel indices from
+//!   an atomic counter) and returns the outputs in domain order; both arms
+//!   of [`crate::execute_with_plan`] materialise through it. The streaming
+//!   engine instead gets a channel-backed tuple source (detached workers
 //!   feeding a bounded channel behind the pull-based [`crate::Rows`]
 //!   iterator, reached through [`crate::stream_with_plan`]).
 //!
@@ -42,21 +44,14 @@
 //! once the limit is reached, so `LIMIT k` still prunes the search space
 //! under parallel execution.
 
-use crate::engine::{build_ad_checks, xjoin_with_plan_body};
-use crate::error::{CoreError, Result};
-use crate::exec::{drain_rows, finish, validate_output, EngineKind, ExecOptions, QueryOutput};
-use crate::query::{DataContext, MultiModelQuery};
-use crate::stream::Rows;
-use relational::generic::levelwise_join_in_range;
-use relational::lftj::lftj_in_range_counted;
-use relational::{JoinPlan, JoinStats, LftjWalk, Relation, Schema, ValueId, ValueRange};
+use crate::error::Result;
+use relational::{JoinPlan, LftjWalk, Relation, Schema, ValueId, ValueRange};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Morsels handed to the scheduler per worker thread: more morsels than
 /// workers lets fast workers steal remaining ranges (dynamic load
@@ -218,145 +213,38 @@ where
         .collect()
 }
 
+/// Runs `job` over the morsels of `plan` planned for `workers` threads and
+/// returns the per-morsel outputs **in domain order**: a single full-range
+/// run when serial, otherwise [`MORSELS_PER_WORKER`] morsels per worker on
+/// a scoped pool. The first job error wins.
+pub(crate) fn map_morsels<T, F>(plan: &JoinPlan, workers: usize, job: F) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(&ValueRange) -> Result<T> + Sync,
+{
+    if workers <= 1 {
+        return Ok(vec![job(&ValueRange::all())?]);
+    }
+    let morsels = partition_root(plan, workers.saturating_mul(MORSELS_PER_WORKER));
+    let mut dispatch_span = xjoin_obs::span("morsel-dispatch");
+    dispatch_span.set_attr(|| format!("morsels={} workers={workers}", morsels.len()));
+    run_morsels(&morsels, workers, job)
+}
+
 /// Concatenates per-morsel relations (already in domain order) into one
-/// relation over `schema`.
-fn concat(schema: Schema, parts: &[Relation]) -> Relation {
+/// relation over `schema` — a move, not a copy, for a single part.
+pub(crate) fn concat(schema: Schema, mut parts: Vec<Relation>) -> Relation {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
     let total = parts.iter().map(Relation::len).sum();
     let mut merged = Relation::with_capacity(schema, total);
-    for part in parts {
+    for part in &parts {
         for row in part.rows() {
             merged.push(row).expect("morsel schema matches plan order");
         }
     }
     merged
-}
-
-/// Morsel-parallel execution of a plan-based engine: the parallel
-/// counterpart of the serial arms in [`crate::exec::execute_with_plan`],
-/// which routes here when [`crate::ExecOptions::parallelism`] asks for more
-/// than one worker. Results (and, for the level-wise engines, per-stage
-/// intermediate counts) are identical to serial execution; morsel outputs
-/// are merged in domain order, so even the tuple order matches.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_parallel(
-    ctx: &DataContext<'_>,
-    query: &MultiModelQuery,
-    opts: &ExecOptions,
-    plan: &JoinPlan,
-    atom_sizes: Vec<(String, usize)>,
-    first_path_atom: usize,
-) -> Result<QueryOutput> {
-    let start = Instant::now();
-    validate_output(query, plan.order())?;
-    let workers = opts.parallelism.workers();
-    let morsels = partition_root(plan, workers.saturating_mul(MORSELS_PER_WORKER));
-    let mut dispatch_span = xjoin_obs::span("morsel-dispatch");
-    dispatch_span.set_attr(|| format!("morsels={} workers={workers}", morsels.len()));
-    let schema = Schema::new(plan.order().iter().cloned()).expect("order vars distinct");
-    match opts.engine {
-        EngineKind::XJoin => {
-            // Each morsel runs the full level-wise body — filters, partial
-            // validation, and the final structure check included — but over
-            // a projection-free query (projection must happen once, across
-            // morsels, to preserve set semantics) and with empty atom sizes
-            // (the materialise stages are global, recorded once below).
-            let subquery = MultiModelQuery {
-                output: None,
-                ..query.clone()
-            };
-            let cfg = opts.xjoin_config();
-            // A-D checks are immutable per-query state (each one a document
-            // scan): build once, share read-only across all morsel workers.
-            let ad_checks = build_ad_checks(ctx, &subquery, plan.order(), cfg.ad_filter);
-            let outs = run_morsels(&morsels, workers, |range| {
-                xjoin_with_plan_body(ctx, &subquery, &cfg, plan, Vec::new(), 0, range, &ad_checks)
-            })?;
-            let mut stats = JoinStats::default();
-            for (name, size) in atom_sizes.iter().skip(first_path_atom) {
-                stats.record(format!("materialise {name}"), *size);
-            }
-            // Per-stage counts partition across the disjoint cover; summing
-            // reproduces the serial Lemma 3.5 series exactly.
-            for (i, stage) in outs[0].stats.stages.iter().enumerate() {
-                let tuples = outs.iter().map(|o| o.stats.stages[i].tuples).sum();
-                stats.record(stage.label.clone(), tuples);
-            }
-            let parts: Vec<Relation> = outs.into_iter().map(|o| o.results).collect();
-            let mut rel = concat(schema, &parts);
-            if let Some(out_attrs) = &query.output {
-                rel = rel.project(out_attrs)?;
-            }
-            if let Some(k) = opts.limit {
-                rel.truncate(k);
-            }
-            stats.output_rows = rel.len();
-            stats.elapsed = start.elapsed();
-            Ok(QueryOutput {
-                results: rel,
-                stats,
-                order: plan.order().to_vec(),
-                atom_sizes,
-                engine: opts.engine,
-            })
-        }
-        EngineKind::Generic => {
-            let outs = run_morsels(&morsels, workers, |range| {
-                Ok(levelwise_join_in_range(plan, range))
-            })?;
-            let mut stats = JoinStats::default();
-            for (i, stage) in outs[0].1.stages.iter().enumerate() {
-                let tuples = outs.iter().map(|(_, st)| st.stages[i].tuples).sum();
-                stats.record(stage.label.clone(), tuples);
-            }
-            let parts: Vec<Relation> = outs.into_iter().map(|(rel, _)| rel).collect();
-            let raw = concat(schema, &parts);
-            finish(
-                ctx,
-                query,
-                plan.order().to_vec(),
-                raw,
-                stats,
-                atom_sizes,
-                opts,
-                opts.engine,
-                start,
-            )
-        }
-        EngineKind::Lftj => {
-            let parts = run_morsels(&morsels, workers, |range| {
-                Ok(lftj_in_range_counted(plan, range))
-            })?;
-            let mut stats = JoinStats::default();
-            for (_, counters) in &parts {
-                stats.reorders += counters.reorders;
-                stats.estimate_probes += counters.estimate_probes;
-            }
-            let rels: Vec<Relation> = parts.into_iter().map(|(rel, _)| rel).collect();
-            let raw = concat(schema, &rels);
-            stats.record("lftj enumerate", raw.len());
-            finish(
-                ctx,
-                query,
-                plan.order().to_vec(),
-                raw,
-                stats,
-                atom_sizes,
-                opts,
-                opts.engine,
-                start,
-            )
-        }
-        EngineKind::XJoinStream => {
-            // Always drain in domain order: materialised outputs are
-            // deterministic whatever `unordered` says (the flag only
-            // affects the pull-based streaming surface).
-            let rows = Rows::from_parallel(ctx, query, plan.clone(), opts.limit, workers, true)?;
-            drain_rows(rows, plan.order().to_vec(), atom_sizes, opts.engine, start)
-        }
-        kind @ (EngineKind::HashJoin | EngineKind::Baseline { .. }) => Err(CoreError::Unsupported(
-            format!("engine `{kind}` does not execute from a trie plan"),
-        )),
-    }
 }
 
 /// A message from a morsel worker to the streaming consumer.

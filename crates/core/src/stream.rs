@@ -73,7 +73,7 @@ enum Inner<'a> {
 ///
 /// Yields one `Vec<ValueId>` per result row, laid out per [`Rows::schema`].
 /// Construct via [`crate::exec::stream`], [`crate::exec::Query::rows`], or
-/// the plan-level [`xjoin_rows`] / [`xjoin_rows_with_plan`].
+/// the plan-level [`stream_with_plan`].
 pub struct Rows<'a> {
     schema: Schema,
     order: Vec<Attr>,
@@ -329,36 +329,6 @@ fn walk_setup<'a>(
     Ok((order, validators, schema, projection, seen))
 }
 
-/// Streams the multi-model query depth-first with a fresh plan: lowers the
-/// query, fixes the order per `cfg`, builds tries, and returns the lazy
-/// [`Rows`]. Prefer [`crate::exec::stream`] unless you specifically want
-/// the streaming XJoin regardless of options.
-pub fn xjoin_rows<'a>(
-    ctx: &DataContext<'a>,
-    query: &'a MultiModelQuery,
-    cfg: &crate::engine::XJoinConfig,
-    limit: Option<usize>,
-) -> Result<Rows<'a>> {
-    let atoms = crate::atoms::collect_atoms(ctx, query)?;
-    let order = crate::order::compute_order(&atoms, &cfg.order)?;
-    validate_output(query, &order)?;
-    let plan = JoinPlan::new(&atoms.rel_refs(), &order)?;
-    Rows::from_walk(ctx, query, plan, limit)
-}
-
-/// Streams the query over an already-assembled plan (whose tries may come
-/// from a shared cache — see the `xjoin-store` crate), with the same
-/// per-tuple validation as [`xjoin_rows`]. Always the serial walk; use
-/// [`stream_with_plan`] to honour a [`crate::Parallelism`] setting.
-pub fn xjoin_rows_with_plan<'a>(
-    ctx: &DataContext<'a>,
-    query: &'a MultiModelQuery,
-    plan: JoinPlan,
-    limit: Option<usize>,
-) -> Result<Rows<'a>> {
-    Rows::from_walk(ctx, query, plan, limit)
-}
-
 /// Streams the query over an already-assembled plan, honouring the given
 /// [`crate::ExecOptions`]: `limit` is pushed into the walk(s), and when
 /// [`crate::ExecOptions::parallelism`] asks for more than one worker the
@@ -383,6 +353,7 @@ pub fn stream_with_plan<'a>(
 mod tests {
     use super::*;
     use crate::engine::{xjoin, XJoinConfig};
+    use crate::exec::EngineKind;
     use relational::{Database, Schema as RSchema, Value};
     use xmldb::{TagIndex, XmlDocument};
 
@@ -417,6 +388,20 @@ mod tests {
         rows.into_relation()
     }
 
+    /// The streaming engine's lazy rows over a freshly built plan.
+    fn walk_rows<'a>(
+        ctx: &DataContext<'a>,
+        query: &'a MultiModelQuery,
+        limit: Option<usize>,
+    ) -> Result<Rows<'a>> {
+        let opts = ExecOptions {
+            engine: EngineKind::XJoinStream,
+            limit,
+            ..ExecOptions::default()
+        };
+        crate::exec::stream(ctx, query, &opts)
+    }
+
     #[test]
     fn streaming_matches_levelwise() {
         let (db, doc) = setup();
@@ -424,7 +409,7 @@ mod tests {
         let ctx = DataContext::new(&db, &doc, &idx);
         let q = MultiModelQuery::new(&["R"], &["//line[/orderID][/price]"]).unwrap();
         let cfg = XJoinConfig::default();
-        let streamed = collect(xjoin_rows(&ctx, &q, &cfg, None).unwrap());
+        let streamed = collect(walk_rows(&ctx, &q, None).unwrap());
         let levelwise = xjoin(&ctx, &q, &cfg).unwrap();
         assert!(streamed.set_eq(&levelwise.results));
     }
@@ -437,7 +422,7 @@ mod tests {
         let q = MultiModelQuery::new(&["R"], &["//line[/orderID][/price]"])
             .unwrap()
             .with_output(&["userID", "price"]);
-        let streamed = collect(xjoin_rows(&ctx, &q, &XJoinConfig::default(), None).unwrap());
+        let streamed = collect(walk_rows(&ctx, &q, None).unwrap());
         let levelwise = xjoin(&ctx, &q, &XJoinConfig::default()).unwrap();
         assert!(streamed.set_eq(&levelwise.results));
         assert_eq!(streamed.len(), 2);
@@ -473,7 +458,7 @@ mod tests {
         let q = MultiModelQuery::new(&["R"], &["//line/orderID"])
             .unwrap()
             .with_output(&["userID"]);
-        let streamed = collect(xjoin_rows(&ctx, &q, &XJoinConfig::default(), None).unwrap());
+        let streamed = collect(walk_rows(&ctx, &q, None).unwrap());
         let levelwise = xjoin(&ctx, &q, &XJoinConfig::default()).unwrap();
         assert_eq!(streamed.len(), 1);
         assert!(streamed.set_eq(&levelwise.results));
@@ -502,9 +487,7 @@ mod tests {
         let idx = TagIndex::build(&doc);
         let ctx = DataContext::new(&db, &doc, &idx);
         let q = MultiModelQuery::new(&["D"], &["//line[/orderID][/price]"]).unwrap();
-        let n = xjoin_rows(&ctx, &q, &XJoinConfig::default(), None)
-            .unwrap()
-            .count();
+        let n = walk_rows(&ctx, &q, None).unwrap().count();
         // Valid: (line1, 1, 7) and (line2, 2, 7) — not the 2x2 cross.
         assert_eq!(n, 2);
     }
@@ -515,9 +498,7 @@ mod tests {
         let idx = TagIndex::build(&doc);
         let ctx = DataContext::new(&db, &doc, &idx);
         let q = MultiModelQuery::new(&["R"], &["//line/orderID"]).unwrap();
-        let rows: Vec<Vec<ValueId>> = xjoin_rows(&ctx, &q, &XJoinConfig::default(), None)
-            .unwrap()
-            .collect();
+        let rows: Vec<Vec<ValueId>> = walk_rows(&ctx, &q, None).unwrap().collect();
         assert!(!rows.is_empty());
         let mut sorted = rows.clone();
         sorted.sort();
@@ -531,12 +512,12 @@ mod tests {
         let ctx = DataContext::new(&db, &doc, &idx);
         let q = MultiModelQuery::new(&["R"], &["//line/orderID"]).unwrap();
 
-        let mut full = xjoin_rows(&ctx, &q, &XJoinConfig::default(), None).unwrap();
+        let mut full = walk_rows(&ctx, &q, None).unwrap();
         let total = full.by_ref().count();
         let full_visited = full.stats().visited;
         assert!(total > 1);
 
-        let mut limited = xjoin_rows(&ctx, &q, &XJoinConfig::default(), Some(1)).unwrap();
+        let mut limited = walk_rows(&ctx, &q, Some(1)).unwrap();
         assert!(limited.next().is_some());
         assert!(limited.next().is_none(), "limited rows must fuse");
         let st = limited.stats();
@@ -558,7 +539,7 @@ mod tests {
             .unwrap()
             .with_output(&["zz"]);
         assert!(matches!(
-            xjoin_rows(&ctx, &q, &XJoinConfig::default(), None),
+            walk_rows(&ctx, &q, None),
             Err(CoreError::UnknownAttribute(_))
         ));
     }

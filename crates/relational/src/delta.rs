@@ -3,7 +3,7 @@
 //! A [`DeltaTrie`] represents the logical relation `base ∪ run₀ ∪ run₁ ∪ …`
 //! without merging anything eagerly. Each layer is an ordinary [`Trie`]
 //! leveled by the same attribute order, so a layered atom is consumed by the
-//! walk as a *k-way union view*: at every trie level the engine unions the
+//! walk and the level-wise driver alike as a *k-way union view*: at every trie level the engine unions the
 //! layers' sorted sibling ranges through the usual leapfrog
 //! `key / next / seek` contract (see `lftj::UnionCursor`), and the
 //! cross-atom intersection on top of those unions is unchanged — the merged

@@ -1,126 +1,140 @@
-//! Level-wise generic worst-case optimal join (Ngo et al. 2012 style).
+//! The level-wise worst-case optimal join driver (Ngo et al. 2012 style) —
+//! the breadth-first strategy every level-wise engine runs.
 //!
 //! Variables are expanded one at a time in the plan's global order. The
-//! engine materialises the intermediate relation after every expansion —
+//! driver materialises the intermediate relation after every expansion —
 //! exactly the execution model of the paper's Algorithm 1 ("Get expanding
 //! result E …; Filter E …; Expand R by E") — and records each intermediate's
 //! cardinality in [`JoinStats`], which is what Lemma 3.5 bounds.
 //!
 //! Each intermediate tuple carries, per atom, the trie node reached by its
-//! bound prefix, so candidate generation for the next variable is a leapfrog
-//! intersection of contiguous sorted slices ("satisfying common values") and
-//! consistency with already-bound variables is implicit ("satisfying relation
-//! between p and A").
+//! bound prefix (one node per physical run for atoms overlaid with delta
+//! runs), so candidate generation for the next variable is a leapfrog
+//! intersection of the atoms' sibling ranges ("satisfying common values")
+//! and consistency with already-bound variables is implicit ("satisfying
+//! relation between p and A"). The intersection is the depth-first walk's
+//! own per-variable state ([`crate::lftj`]), re-opened in place per frontier
+//! tuple, so both strategies share one probe core: the block kernel, bitset
+//! seeks, and lazy unions over delta runs. An optional per-candidate hook
+//! filters the expansion further (the multi-model engine's A-D edge checks
+//! and partial twig validation).
 
 use crate::error::Result;
-use crate::leapfrog::{leapfrog_foreach, SliceCursor};
+use crate::lftj::{LevelState, ProbeKernel, ABSENT};
 use crate::plan::{JoinPlan, ValueRange};
 use crate::relation::Relation;
 use crate::schema::{Attr, Schema};
-use crate::stats::JoinStats;
+use crate::stats::{JoinStats, LevelProbeStats};
 use crate::value::ValueId;
 use std::time::Instant;
 
-/// Sentinel for "no trie level bound yet" in per-atom node pointers.
-const NO_NODE: u32 = u32::MAX;
+/// A per-candidate filter for [`levelwise_join`]: called as
+/// `keep(depth, prefix, v)` for every value `v` the intersection at `depth`
+/// produced under the bound `prefix` (the first `depth` values in plan
+/// order); returning `false` drops the extension before it is counted.
+pub type CandidateHook<'h> = &'h mut dyn FnMut(usize, &[ValueId], ValueId) -> bool;
 
-/// Runs the level-wise generic join over a validated plan, returning the
-/// result relation (schema = the plan's variable order) and per-level stats.
-pub fn levelwise_join(plan: &JoinPlan) -> (Relation, JoinStats) {
-    levelwise_join_in_range(plan, &ValueRange::all())
-}
-
-/// Range-restricted [`levelwise_join`]: expands only the tuples whose
-/// **first** variable binding falls inside `root`. Over a disjoint cover of
-/// the value space the per-level intermediates (and the results) partition
-/// exactly, so per-stage tuple counts summed across the parts equal the
-/// unrestricted run's counts — morsel-parallel execution preserves the
-/// Lemma 3.5 measurements.
-pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation, JoinStats) {
+/// Runs the level-wise join over a validated plan, returning the result
+/// relation (schema = the plan's variable order, tuples in lexicographic
+/// order) and the per-level `expand <var>` stage counts.
+///
+/// Only tuples whose **first** variable binding falls inside `root` are
+/// expanded. Over a disjoint cover of the value space the per-level
+/// intermediates (and the results) partition exactly, so per-stage tuple
+/// counts summed across the parts equal the unrestricted run's counts —
+/// morsel-parallel execution preserves the Lemma 3.5 measurements.
+///
+/// Layered atoms (base trie plus delta runs) are unioned lazily, exactly as
+/// in the walk; the plan's adaptive ladder, if any, is ignored — level-wise
+/// expansion follows the static order.
+pub fn levelwise_join(
+    plan: &JoinPlan,
+    root: &ValueRange,
+    mut hook: Option<CandidateHook<'_>>,
+) -> (Relation, JoinStats) {
     let start = Instant::now();
-    let order = plan.order();
-    let natoms = plan.tries().len();
-    let schema = Schema::new(order.iter().cloned()).expect("order vars are distinct");
+    let vps = plan.var_plans();
+    let schema = Schema::new(plan.order().iter().cloned()).expect("order vars are distinct");
     let mut stats = JoinStats::default();
 
     if plan.has_empty_atom() {
-        for var in order {
-            stats.record_var(var, 0);
+        for vp in vps {
+            stats.record_var(&vp.var, 0);
         }
         stats.elapsed = start.elapsed();
         return (Relation::new(schema), stats);
     }
 
-    // One initial tuple with empty prefix and no atom positioned anywhere.
+    // Every intermediate tuple carries a node frame of `width` slots: atom
+    // `a`'s bound node per physical run sits at `span[a]` (ABSENT for runs
+    // not containing the prefix), so a solid atom takes a single slot.
+    let mut span = Vec::with_capacity(plan.tries().len());
     let mut width = 0usize;
+    for a in 0..plan.tries().len() {
+        span.push(width..width + plan.runs(a));
+        width += plan.runs(a);
+    }
+    // One initial tuple with empty prefix and no atom positioned anywhere.
     let mut tuples: Vec<ValueId> = Vec::new();
-    let mut ptrs: Vec<u32> = vec![NO_NODE; natoms];
+    let mut frames: Vec<u32> = vec![ABSENT; width];
     let mut count = 1usize;
+    let mut level = LevelState::default();
+    let mut untracked = LevelProbeStats::default();
 
-    for (d, vp) in plan.var_plans().iter().enumerate() {
+    for (d, vp) in vps.iter().enumerate() {
+        // The last level's node frames would never be read.
+        let last = d + 1 == vps.len();
         let mut next_tuples: Vec<ValueId> = Vec::new();
-        let mut next_ptrs: Vec<u32> = Vec::new();
+        let mut next_frames: Vec<u32> = Vec::new();
         let mut next_count = 0usize;
-
-        let mut range_starts: Vec<u32> = Vec::with_capacity(vp.participants.len());
-        let mut cursors: Vec<SliceCursor<'_>> = Vec::with_capacity(vp.participants.len());
-
         for t in 0..count {
-            let prefix = &tuples[t * width..t * width + width];
-            let tuple_ptrs = &ptrs[t * natoms..t * natoms + natoms];
-
-            range_starts.clear();
-            cursors.clear();
-            for p in &vp.participants {
-                let trie = &plan.tries()[p.atom];
-                let mut range = if p.level == 0 {
-                    trie.root_range()
-                } else {
-                    let parent = tuple_ptrs[p.atom];
-                    debug_assert_ne!(parent, NO_NODE, "parent level must be bound");
-                    trie.children(p.level - 1, parent)
-                };
-                if d == 0 {
-                    range = root.clamp_nodes(trie, p.level, range);
+            let prefix = &tuples[t * d..(t + 1) * d];
+            let frame = &frames[t * width..(t + 1) * width];
+            level.open(plan, vp, (d == 0).then_some(root), |a| {
+                &frame[span[a].clone()]
+            });
+            while let Some(v) = level.advance::<false>(plan, ProbeKernel::Block, &mut untracked) {
+                if let Some(keep) = hook.as_mut() {
+                    if !keep(d, prefix, v) {
+                        continue;
+                    }
                 }
-                range_starts.push(range.start);
-                cursors.push(SliceCursor::new(trie.values(p.level, range)));
-            }
-
-            leapfrog_foreach(&mut cursors, |v, cs| {
                 next_tuples.extend_from_slice(prefix);
                 next_tuples.push(v);
-                let base = next_ptrs.len();
-                next_ptrs.extend_from_slice(tuple_ptrs);
-                for (k, p) in vp.participants.iter().enumerate() {
-                    next_ptrs[base + p.atom] = range_starts[k] + cs[k].pos() as u32;
-                }
                 next_count += 1;
-            });
+                if !last {
+                    let base = next_frames.len();
+                    next_frames.extend_from_slice(frame);
+                    for (c, part) in vp.participants.iter().enumerate() {
+                        let slots = &mut next_frames[base..][span[part.atom].clone()];
+                        level.write_match_nodes(c, plan, slots);
+                    }
+                }
+            }
         }
-
         tuples = next_tuples;
-        ptrs = next_ptrs;
+        frames = next_frames;
         count = next_count;
-        width = d + 1;
         stats.record_var(&vp.var, count);
         if count == 0 {
             // Remaining levels are trivially empty; record them for a
             // complete per-stage series.
-            for rest in &plan.var_plans()[d + 1..] {
+            for rest in &vps[d + 1..] {
                 stats.record_var(&rest.var, 0);
             }
             break;
         }
     }
 
-    let mut out = Relation::with_capacity(schema, count);
-    if count > 0 && width > 0 {
-        for t in 0..count {
-            out.push(&tuples[t * width..t * width + width])
-                .expect("width matches arity");
-        }
-    }
+    let out = if vps.is_empty() {
+        // Zero-variable plan: the join of non-empty nullary atoms holds
+        // exactly one empty tuple.
+        let mut one = Relation::new(schema);
+        one.push(&[]).expect("nullary row");
+        one
+    } else {
+        Relation::from_flat(schema, tuples)
+    };
     stats.output_rows = out.len();
     stats.elapsed = start.elapsed();
     (out, stats)
@@ -130,7 +144,7 @@ pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation,
 /// under the global variable `order`.
 pub fn generic_join(relations: &[&Relation], order: &[Attr]) -> Result<(Relation, JoinStats)> {
     let plan = JoinPlan::new(relations, order)?;
-    Ok(levelwise_join(&plan))
+    Ok(levelwise_join(&plan, &ValueRange::all(), None))
 }
 
 /// Reference nested-loop join used to cross-check the optimal engines in
@@ -302,7 +316,7 @@ mod tests {
         let s = rel(&["b", "c"], &[&[2, 3], &[3, 1], &[1, 2], &[3, 3]]);
         let t = rel(&["a", "c"], &[&[1, 3], &[2, 1], &[3, 2], &[1, 1]]);
         let plan = JoinPlan::new(&[&r, &s, &t], &attrs(&["a", "b", "c"])).unwrap();
-        let (full, full_stats) = levelwise_join(&plan);
+        let (full, full_stats) = levelwise_join(&plan, &ValueRange::all(), None);
         let halves = [
             ValueRange {
                 lo: v(0),
@@ -312,7 +326,7 @@ mod tests {
         ];
         let parts: Vec<(Relation, JoinStats)> = halves
             .iter()
-            .map(|h| levelwise_join_in_range(&plan, h))
+            .map(|h| levelwise_join(&plan, h, None))
             .collect();
         let mut merged = Relation::new(full.schema().clone());
         for (part, _) in &parts {
@@ -326,6 +340,26 @@ mod tests {
             let summed: usize = parts.iter().map(|(_, st)| st.stages[i].tuples).sum();
             assert_eq!(summed, stage.tuples, "stage `{}`", stage.label);
         }
+    }
+
+    #[test]
+    fn hook_filters_candidates_before_they_are_counted() {
+        // R(a) x S(b); drop a = 1 at depth 0 and b = 6 at depth 1.
+        let r = rel(&["a"], &[&[1], &[2], &[3]]);
+        let s = rel(&["b"], &[&[5], &[6]]);
+        let plan = JoinPlan::new(&[&r, &s], &attrs(&["a", "b"])).unwrap();
+        let mut seen = Vec::new();
+        let mut keep = |d: usize, prefix: &[ValueId], x: ValueId| {
+            assert_eq!(prefix.len(), d);
+            seen.push((d, x));
+            x != v(1) && x != v(6)
+        };
+        let (out, stats) = levelwise_join(&plan, &ValueRange::all(), Some(&mut keep));
+        assert_eq!(out.rows().collect::<Vec<_>>(), [[v(2), v(5)], [v(3), v(5)]]);
+        assert_eq!(stats.stages[0].tuples, 2);
+        assert_eq!(stats.stages[1].tuples, 2);
+        // Every candidate of every frontier tuple reached the hook.
+        assert_eq!(seen.len(), 3 + 2 * 2);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Leapfrog intersection of sorted value slices (Veldhuizen 2012).
 //!
-//! The unary kernel shared by every worst-case optimal engine here: given k
-//! sorted, duplicate-free slices, enumerate their intersection in
-//! `O(k · n_min · log(n_max / n_min))`-ish time using galloping seeks.
+//! The seek kernels shared by every worst-case optimal engine here: given a
+//! sorted, duplicate-free slice, find the first value `>=` a target with
+//! galloping ([`gallop`]) or block-wise ([`block_seek`]) search — the steps
+//! behind an `O(k · n_min · log(n_max / n_min))`-ish k-way intersection. The
+//! intersection itself runs over trie levels in [`crate::lftj`];
+//! [`intersect`] and [`union`] are the materialising references its tests
+//! check against.
 
 use crate::value::ValueId;
-use std::ops::ControlFlow;
 
 /// Stride of the branch-reduced block search: [`block_seek`] resolves the
 /// final position inside a window of at most this many elements with a
@@ -158,122 +161,6 @@ pub fn block_seek_counted(slice: &[ValueId], lo: usize, target: ValueId) -> (usi
     (cur + 1 + count_lt(&slice[cur + 1..hi], target), steps)
 }
 
-/// A cursor over a sorted slice, supporting the leapfrog `key / next / seek`
-/// interface.
-#[derive(Debug, Clone)]
-pub struct SliceCursor<'a> {
-    slice: &'a [ValueId],
-    pos: usize,
-}
-
-impl<'a> SliceCursor<'a> {
-    /// Creates a cursor positioned at the slice's first element.
-    pub fn new(slice: &'a [ValueId]) -> Self {
-        SliceCursor { slice, pos: 0 }
-    }
-
-    /// Whether the cursor has moved past the last element.
-    #[inline]
-    pub fn at_end(&self) -> bool {
-        self.pos >= self.slice.len()
-    }
-
-    /// The value under the cursor.
-    ///
-    /// # Panics
-    /// Panics if the cursor is at end.
-    #[inline]
-    pub fn key(&self) -> ValueId {
-        self.slice[self.pos]
-    }
-
-    /// Advances to the next element.
-    #[inline]
-    pub fn next(&mut self) {
-        self.pos += 1;
-    }
-
-    /// Seeks forward to the first element `>= target` via [`block_seek`].
-    #[inline]
-    pub fn seek(&mut self, target: ValueId) {
-        self.pos = block_seek(self.slice, self.pos, target);
-    }
-
-    /// The cursor's current index within its slice.
-    #[inline]
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// The underlying slice.
-    pub fn slice(&self) -> &'a [ValueId] {
-        self.slice
-    }
-}
-
-/// Runs leapfrog intersection over `cursors`, invoking `f(v, cursors)` for
-/// every value `v` present in all of them and stopping early when `f`
-/// returns [`ControlFlow::Break`]. When `f` is called, every cursor is
-/// positioned exactly at `v`, so callers can read [`SliceCursor::pos`] to
-/// recover per-slice match positions (the join engines use this to derive
-/// trie child indices).
-///
-/// Returns `Break(())` iff the callback broke; an exhausted intersection
-/// returns `Continue(())`. An empty `cursors` list yields nothing (the
-/// neutral intersection is handled by callers, who know the variable's
-/// domain).
-pub fn leapfrog_foreach_until(
-    cursors: &mut [SliceCursor<'_>],
-    mut f: impl FnMut(ValueId, &[SliceCursor<'_>]) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let k = cursors.len();
-    if k == 0 || cursors.iter().any(|c| c.at_end()) {
-        return ControlFlow::Continue(());
-    }
-    if k == 1 {
-        while !cursors[0].at_end() {
-            f(cursors[0].key(), cursors)?;
-            cursors[0].next();
-        }
-        return ControlFlow::Continue(());
-    }
-    // `order` holds cursor indices sorted ascending by current key; `p`
-    // cycles through it, always pointing at the (currently) smallest key.
-    let mut order: Vec<usize> = (0..k).collect();
-    order.sort_by_key(|&i| cursors[i].key());
-    let mut p = 0usize;
-    let mut max = cursors[order[k - 1]].key();
-    loop {
-        let i = order[p];
-        let x = cursors[i].key();
-        if x == max {
-            // All k cursors agree on x.
-            f(x, cursors)?;
-            cursors[i].next();
-        } else {
-            cursors[i].seek(max);
-        }
-        if cursors[i].at_end() {
-            return ControlFlow::Continue(());
-        }
-        max = cursors[i].key();
-        p = (p + 1) % k;
-    }
-}
-
-/// Runs leapfrog intersection to exhaustion — the infallible counterpart of
-/// [`leapfrog_foreach_until`] for callers that never stop early.
-pub fn leapfrog_foreach(
-    cursors: &mut [SliceCursor<'_>],
-    mut f: impl FnMut(ValueId, &[SliceCursor<'_>]),
-) {
-    let flow = leapfrog_foreach_until(cursors, |v, cs| {
-        f(v, cs);
-        ControlFlow::Continue(())
-    });
-    debug_assert!(flow.is_continue());
-}
-
 /// Materialises the sorted, duplicate-free union of the given sorted
 /// duplicate-free slices — the eager counterpart of the lazy k-way union
 /// view that layered (base + delta) tries expose to the walk, kept here as
@@ -303,12 +190,25 @@ pub fn union(slices: &[&[ValueId]]) -> Vec<ValueId> {
     out
 }
 
-/// Materialises the intersection of the given sorted slices.
+/// Materialises the intersection of the given sorted, duplicate-free
+/// slices: each value of the first slice is galloped for in the others. The
+/// reference the trie intersection tests check against; empty for no
+/// slices.
 pub fn intersect(slices: &[&[ValueId]]) -> Vec<ValueId> {
-    let mut cursors: Vec<SliceCursor<'_>> = slices.iter().map(|s| SliceCursor::new(s)).collect();
-    let mut out = Vec::new();
-    leapfrog_foreach(&mut cursors, |v, _| out.push(v));
-    out
+    let Some((first, rest)) = slices.split_first() else {
+        return Vec::new();
+    };
+    let mut pos = vec![0usize; rest.len()];
+    first
+        .iter()
+        .copied()
+        .filter(|&v| {
+            rest.iter().zip(&mut pos).all(|(s, p)| {
+                *p = gallop(s, *p, v);
+                s.get(*p) == Some(&v)
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -457,62 +357,6 @@ mod tests {
     #[test]
     fn no_cursors_yields_nothing() {
         assert!(intersect(&[]).is_empty());
-    }
-
-    #[test]
-    fn emit_positions_point_at_match() {
-        let a = ids(&[1, 2, 7]);
-        let b = ids(&[0, 2, 3, 7]);
-        let mut cursors = vec![SliceCursor::new(&a), SliceCursor::new(&b)];
-        let mut seen = Vec::new();
-        leapfrog_foreach(&mut cursors, |v, cs| {
-            seen.push((v, cs[0].pos(), cs[1].pos()));
-            assert_eq!(cs[0].slice()[cs[0].pos()], v);
-            assert_eq!(cs[1].slice()[cs[1].pos()], v);
-        });
-        assert_eq!(seen, vec![(ValueId(2), 1, 1), (ValueId(7), 2, 3)]);
-    }
-
-    #[test]
-    fn foreach_until_breaks_early() {
-        let a = ids(&[1, 2, 3, 4, 5]);
-        let b = ids(&[2, 3, 4, 5, 6]);
-        let mut cursors = vec![SliceCursor::new(&a), SliceCursor::new(&b)];
-        let mut seen = Vec::new();
-        let flow = leapfrog_foreach_until(&mut cursors, |v, _| {
-            seen.push(v);
-            if seen.len() == 2 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert!(flow.is_break());
-        assert_eq!(seen, ids(&[2, 3]));
-        // Cursors are parked on the value that triggered the break.
-        assert_eq!(cursors[0].key(), ValueId(3));
-        assert_eq!(cursors[1].key(), ValueId(3));
-    }
-
-    #[test]
-    fn foreach_until_exhaustion_is_continue() {
-        let a = ids(&[1, 2]);
-        let mut cursors = vec![SliceCursor::new(&a)];
-        let flow = leapfrog_foreach_until(&mut cursors, |_, _| ControlFlow::Continue(()));
-        assert!(flow.is_continue());
-    }
-
-    #[test]
-    fn single_cursor_breaks_early() {
-        let a = ids(&[1, 2, 3]);
-        let mut cursors = vec![SliceCursor::new(&a)];
-        let mut n = 0usize;
-        let flow = leapfrog_foreach_until(&mut cursors, |_, _| {
-            n += 1;
-            ControlFlow::Break(())
-        });
-        assert!(flow.is_break());
-        assert_eq!(n, 1);
     }
 
     #[test]

@@ -1,32 +1,33 @@
 //! Leapfrog Triejoin (Veldhuizen 2012): a streaming, depth-first worst-case
 //! optimal join.
 //!
-//! Unlike the level-wise engine in [`crate::generic`], LFTJ never
+//! Unlike the level-wise driver in [`crate::generic`], LFTJ never
 //! materialises intermediates: it walks all atom tries in lockstep,
 //! performing a leapfrog intersection per variable and backtracking on
 //! failure. Results are delivered in lexicographic order of the plan's
 //! variable order.
 //!
-//! Two consumption styles are offered:
+//! [`LftjWalk`] owns its [`JoinPlan`] (tries are shared `Arc`s, so the plan
+//! is cheap to clone) and yields one tuple per [`LftjWalk::next_tuple`]
+//! call. Abandoning the walk after `k` tuples does strictly less work than
+//! full enumeration — this is the substrate for `LIMIT` pushdown in the
+//! multi-model `Rows` iterator. [`lftj_in_range_counted`] materialises a
+//! (morsel of a) walk.
 //!
-//! * **pull** — [`LftjWalk`] owns its [`JoinPlan`] (tries are shared
-//!   `Arc`s, so the plan is cheap to clone) and yields one tuple per
-//!   [`LftjWalk::next_tuple`] call. Abandoning the walk after `k` tuples
-//!   does strictly less work than full enumeration — this is the substrate
-//!   for `LIMIT` pushdown in the multi-model `Rows` iterator;
-//! * **push** — [`lftj_foreach_until`] drives a callback that can stop the
-//!   walk by returning [`ControlFlow::Break`] ([`lftj_foreach`] is the
-//!   never-stopping wrapper).
+//! This module also holds the crate's one intersection core: the
+//! per-variable `LevelState` — cursors over solid trie ranges or lazily
+//! merged delta runs, driven by the scalar or block probe kernel — which
+//! the breadth-first [`crate::generic::levelwise_join`] re-opens per
+//! frontier tuple.
 
 use crate::error::Result;
 use crate::leapfrog::{block_seek, block_seek_counted, gallop, gallop_counted};
-use crate::plan::{JoinPlan, Ladder, ValueRange, VarPlan};
+use crate::plan::{JoinPlan, Ladder, Participant, ValueRange, VarPlan};
 use crate::relation::Relation;
 use crate::schema::{Attr, Schema};
 use crate::stats::LevelProbeStats;
 use crate::trie::{LevelBits, Trie};
 use crate::value::ValueId;
-use std::ops::ControlFlow;
 
 /// Which probe kernel drives a [`LftjWalk`]'s per-variable intersections.
 ///
@@ -56,7 +57,7 @@ const MAX_INLINE_VIEWS: usize = 8;
 /// runs of a layered atom that do not contain the bound prefix. Opening the
 /// next level skips such runs entirely. (Real node indices never reach
 /// `u32::MAX`: a trie level with 2³² nodes is unrepresentable here anyway.)
-const ABSENT: u32 = u32::MAX;
+pub(crate) const ABSENT: u32 = u32::MAX;
 
 /// A per-refill snapshot of one cursor's trie level: the full value array
 /// plus the optional bitmap index, resolved once instead of per key access.
@@ -80,10 +81,11 @@ impl<'a> LevelView<'a> {
 
 /// An owned cursor over one contiguous sibling range of a trie level.
 ///
-/// Unlike [`crate::leapfrog::SliceCursor`], positions are absolute node
-/// indices resolved against the tries on each access, so the cursor borrows
-/// nothing — which is what lets [`LftjWalk`] own its plan and hand out
-/// tuples across calls.
+/// Positions are absolute node indices resolved against the tries on each
+/// access, so the cursor borrows nothing — which is what lets [`LftjWalk`]
+/// own its plan and hand out tuples across calls, and lets one
+/// [`LevelState`] be re-opened in place for every frontier tuple of the
+/// level-wise driver.
 #[derive(Debug, Clone)]
 struct RangeCursor {
     atom: usize,
@@ -104,6 +106,20 @@ struct RangeCursor {
 }
 
 impl RangeCursor {
+    /// A cursor over one physical run's sibling range.
+    #[inline]
+    fn of(part: &Participant, s: SubCursor) -> RangeCursor {
+        RangeCursor {
+            atom: part.atom,
+            level: part.level,
+            run: s.run,
+            hi: s.hi,
+            pos: s.pos,
+            group: s.group,
+            group_start: s.group_start,
+        }
+    }
+
     #[inline]
     fn at_end(&self) -> bool {
         self.pos >= self.hi
@@ -179,6 +195,18 @@ impl RangeCursor {
     }
 }
 
+/// Writes a node frame for a match found in physical run `run` only: `pos`
+/// in that run's slot, [`ABSENT`] in every other (solid atoms have one slot).
+#[inline]
+fn write_run_node(run: u32, pos: u32, out: &mut [u32]) {
+    if let [slot] = out {
+        *slot = pos;
+    } else {
+        out.fill(ABSENT);
+        out[run as usize] = pos;
+    }
+}
+
 /// One physical run's slice of a layered atom's union view: the sibling
 /// range of that run under the bound prefix.
 #[derive(Debug, Clone)]
@@ -192,6 +220,44 @@ struct SubCursor {
     /// the level's bitmap index).
     group: u32,
     group_start: u32,
+}
+
+impl SubCursor {
+    /// The sibling range of `part` in physical run `run` under the bound
+    /// `parent` node (ignored at level 0), narrowed to `root` when given.
+    #[inline]
+    fn open(
+        plan: &JoinPlan,
+        part: &Participant,
+        run: usize,
+        parent: u32,
+        root: Option<&ValueRange>,
+    ) -> SubCursor {
+        let trie = plan.run_trie(part.atom, run);
+        let (mut range, group) = if part.level == 0 {
+            // Level 0 is one sibling group (group id 0) spanning the whole
+            // level.
+            (trie.root_range(), 0)
+        } else {
+            (trie.children(part.level - 1, parent), parent)
+        };
+        // The bitmap index anchors ranks to the group's true first node, so
+        // record it before any root-range clamping narrows `range`.
+        let group_start = range.start;
+        // The first variable participates at level 0 of every atom that
+        // contains it; narrowing all its cursors to the root range restricts
+        // the whole join to that morsel.
+        if let Some(root) = root {
+            range = root.clamp_nodes(trie, part.level, range);
+        }
+        SubCursor {
+            run: run as u32,
+            hi: range.end,
+            pos: range.start,
+            group,
+            group_start,
+        }
+    }
 }
 
 /// The lazily-merged union of a layered atom's live runs at one trie level.
@@ -304,19 +370,18 @@ impl UnionCursor {
         self.refresh(plan);
     }
 
-    /// Appends, for each of the atom's `nruns` physical runs in order, the
-    /// node index matched at the current key — or [`ABSENT`] for runs not
-    /// containing it. Only valid while parked at an emitted match.
-    fn push_match_nodes(&self, plan: &JoinPlan, nruns: usize, out: &mut Vec<u32>) {
-        for r in 0..nruns {
-            let pos = self
+    /// Writes, for each of the atom's physical runs in order (`out` holds
+    /// one slot per run), the node index matched at the current key — or
+    /// [`ABSENT`] for runs not containing it. Only valid while parked at an
+    /// emitted match.
+    fn write_match_nodes(&self, plan: &JoinPlan, out: &mut [u32]) {
+        for (r, slot) in out.iter_mut().enumerate() {
+            *slot = self
                 .subs
                 .iter()
                 .find(|s| s.run as usize == r && s.pos < s.hi)
                 .filter(|s| plan.run_trie(self.atom, r).value(self.level, s.pos) == self.cur)
-                .map(|s| s.pos)
-                .unwrap_or(ABSENT);
-            out.push(pos);
+                .map_or(ABSENT, |s| s.pos);
         }
     }
 }
@@ -367,45 +432,39 @@ impl Cursor {
         }
     }
 
-    /// Appends the `nruns` per-run node indices of the current match.
-    fn push_match_nodes(&self, plan: &JoinPlan, nruns: usize, out: &mut Vec<u32>) {
+    /// Writes the per-run node indices of the current match (one slot of
+    /// `out` per physical run of the atom).
+    fn write_match_nodes(&self, plan: &JoinPlan, out: &mut [u32]) {
         match self {
-            Cursor::Solid(c) => {
-                for r in 0..nruns {
-                    out.push(if r == c.run as usize { c.pos } else { ABSENT });
-                }
-            }
-            Cursor::Union(u) => u.push_match_nodes(plan, nruns, out),
+            Cursor::Solid(c) => write_run_node(c.run, c.pos, out),
+            Cursor::Union(u) => u.write_match_nodes(plan, out),
         }
     }
 }
 
-/// The participants of one open level, split by shape so the all-solid fast
-/// paths stay monomorphic.
-#[derive(Debug)]
-enum LevelCursors {
-    /// Every participant resolved to exactly one physical run — either all
-    /// atoms are solid, or each layered atom had a single run alive under
-    /// the bound prefix (downgraded at [`LftjWalk::open_level`]). Runs the
-    /// unchanged scalar / block kernels.
-    Solid(Vec<RangeCursor>),
-    /// At least one participant is a live multi-run union view; the level
-    /// runs the union-aware rotation (one match per advance, gallop seeks).
-    Mixed(Vec<Cursor>),
-}
-
 /// Resumable leapfrog intersection state for one variable: the cursors of
 /// every participating atom plus the rotation bookkeeping of the classic
-/// algorithm, restartable between [`LevelState::advance`] calls.
+/// algorithm (prime → emit at agreement → step the emitter → seek the
+/// rest), restartable between [`LevelState::advance`] calls.
 ///
-/// This mirrors [`crate::leapfrog::leapfrog_foreach_until`]'s rotation
-/// (prime → emit at agreement → step the emitter → seek the rest) but over
-/// owned index cursors, which is what makes the walk resumable across
-/// calls. The two cores are kept honest against each other by the engine
-/// equivalence suites (LFTJ vs the level-wise join on random instances).
-#[derive(Debug)]
-struct LevelState {
-    cursors: LevelCursors,
+/// This is the one intersection core of the crate: the depth-first
+/// [`LftjWalk`] keeps one state per open depth, and the breadth-first
+/// [`crate::generic::levelwise_join`] keeps one per depth and re-opens it
+/// for every frontier tuple. [`LevelState::open`] resets a state in place,
+/// so re-opening reuses every buffer.
+#[derive(Debug, Default)]
+pub(crate) struct LevelState {
+    /// The participants when every one resolved to exactly one physical
+    /// run — either all atoms are solid, or each layered atom had a single
+    /// run alive under the bound prefix (downgraded in
+    /// [`LevelState::open`]). Runs the scalar / block kernels.
+    solid: Vec<RangeCursor>,
+    /// All participants, once at least one is a live multi-run union view;
+    /// the level then runs the union-aware rotation (one match per advance,
+    /// gallop seeks).
+    mixed: Vec<Cursor>,
+    /// Whether `mixed` (rather than `solid`) holds this level's cursors.
+    is_mixed: bool,
     /// Cursor indices in ascending-key rotation order (filled on priming).
     rot: Vec<usize>,
     p: usize,
@@ -424,84 +483,145 @@ struct LevelState {
 }
 
 impl LevelState {
-    fn new(cursors: LevelCursors) -> LevelState {
-        let exhausted = match &cursors {
-            LevelCursors::Solid(cs) => cs.iter().any(RangeCursor::at_end),
-            LevelCursors::Mixed(cs) => cs.iter().any(Cursor::at_end),
-        };
-        LevelState {
-            cursors,
-            rot: Vec::new(),
-            p: 0,
-            max: ValueId(0),
-            primed: false,
-            exhausted,
-            bound: false,
-            batch: Vec::new(),
-            batch_pos: Vec::new(),
-            batch_idx: 0,
+    /// (Re)opens this level for variable `vp` in place, scoping every
+    /// participating atom to the children of its bound parent node.
+    /// `parents(atom)` returns the atom's bound node frame — one node per
+    /// physical run ([`JoinPlan::runs`]), [`ABSENT`] for runs that do not
+    /// contain the bound prefix; it is only asked for atoms whose level is
+    /// past the root. `root`, when given, narrows level-0 ranges to the
+    /// values inside it (the morsel restriction of the first variable).
+    ///
+    /// Layered atoms open one sub-range per physical run that contains the
+    /// bound prefix; when exactly one run survives, the union view is
+    /// downgraded to a plain [`RangeCursor`] so the level keeps the batched
+    /// fast path — below the root, subtrees a small delta never touched run
+    /// at full solid-plan speed. Only such union views allocate.
+    #[inline]
+    pub(crate) fn open<'n>(
+        &mut self,
+        plan: &JoinPlan,
+        vp: &VarPlan,
+        root: Option<&ValueRange>,
+        parents: impl Fn(usize) -> &'n [u32],
+    ) {
+        self.solid.clear();
+        self.mixed.clear();
+        self.is_mixed = false;
+        self.primed = false;
+        self.bound = false;
+        self.batch.clear();
+        self.batch_pos.clear();
+        self.batch_idx = 0;
+        self.exhausted = false;
+        for part in &vp.participants {
+            let nruns = plan.runs(part.atom);
+            let cursor = if nruns == 1 {
+                let parent = if part.level == 0 {
+                    0
+                } else {
+                    parents(part.atom)[0]
+                };
+                let c = RangeCursor::of(part, SubCursor::open(plan, part, 0, parent, root));
+                self.exhausted |= c.at_end();
+                if !self.is_mixed {
+                    self.solid.push(c);
+                    continue;
+                }
+                Cursor::Solid(c)
+            } else {
+                let frame = if part.level == 0 {
+                    &[][..]
+                } else {
+                    parents(part.atom)
+                };
+                match self.open_layered(plan, part, frame, root) {
+                    Cursor::Solid(c) if !self.is_mixed => {
+                        self.solid.push(c);
+                        continue;
+                    }
+                    cursor => cursor,
+                }
+            };
+            self.mixed.push(cursor);
         }
+    }
+
+    /// Opens a layered atom's participant over the physical runs alive
+    /// under the bound `frame`: a solid cursor when exactly one run
+    /// survives, else a union view (switching the level to mixed mode).
+    fn open_layered(
+        &mut self,
+        plan: &JoinPlan,
+        part: &Participant,
+        frame: &[u32],
+        root: Option<&ValueRange>,
+    ) -> Cursor {
+        let mut live: Vec<SubCursor> = (0..plan.runs(part.atom))
+            .filter(|&r| part.level == 0 || frame[r] != ABSENT)
+            .map(|r| SubCursor::open(plan, part, r, frame.get(r).copied().unwrap_or(0), root))
+            .filter(|s| s.pos < s.hi)
+            .collect();
+        if live.len() == 1 {
+            // Single live run: downgrade to a solid cursor.
+            return Cursor::Solid(RangeCursor::of(part, live.pop().expect("one run")));
+        }
+        // Zero live runs yields an immediately-exhausted union, which
+        // closes the level on the first advance.
+        self.exhausted |= live.is_empty();
+        if !self.is_mixed {
+            self.is_mixed = true;
+            self.mixed.extend(self.solid.drain(..).map(Cursor::Solid));
+        }
+        Cursor::Union(UnionCursor::new(part.atom, part.level, live, plan))
     }
 
     /// Yields the next value present in every cursor; on `Some(v)` the
     /// per-cursor match positions are readable via
-    /// [`LevelState::push_match_nodes`]. `TRACK` selects the probe-counting
+    /// [`LevelState::write_match_nodes`]. `TRACK` selects the probe-counting
     /// instantiation; with `TRACK = false` every counter touch compiles away
     /// and `stats` is untouched.
     ///
     /// Mixed (union-carrying) levels always run the union-aware scalar
     /// rotation regardless of `kernel`: batching buys nothing once key
     /// accesses go through a union view, and with the single-live-run
-    /// downgrade in [`LftjWalk::open_level`] mixed levels are confined to
+    /// downgrade in [`LevelState::open`] mixed levels are confined to
     /// the prefixes a delta actually overlaps.
-    fn advance<const TRACK: bool>(
+    pub(crate) fn advance<const TRACK: bool>(
         &mut self,
         plan: &JoinPlan,
         kernel: ProbeKernel,
         stats: &mut LevelProbeStats,
     ) -> Option<ValueId> {
-        match (&self.cursors, kernel) {
-            (LevelCursors::Mixed(_), _) => self.advance_mixed::<TRACK>(plan, stats),
-            (LevelCursors::Solid(_), ProbeKernel::Scalar) => {
-                self.advance_scalar::<TRACK>(plan, stats)
-            }
-            (LevelCursors::Solid(_), ProbeKernel::Block) => {
-                self.advance_block::<TRACK>(plan, stats)
-            }
+        match kernel {
+            _ if self.is_mixed => self.advance_mixed::<TRACK>(plan, stats),
+            ProbeKernel::Scalar => self.advance_scalar::<TRACK>(plan, stats),
+            ProbeKernel::Block => self.advance_block::<TRACK>(plan, stats),
         }
     }
 
-    /// Appends participant `c`'s node position(s) at the currently served
-    /// match onto `out` — one entry per physical run of the atom (`nruns`),
-    /// with [`ABSENT`] for runs not containing the match. For solid atoms
-    /// (`nruns == 1`) this pushes exactly the single matched node, read from
-    /// the buffered batch under the block kernel or the parked cursor
-    /// otherwise.
-    fn push_match_nodes(&self, c: usize, nruns: usize, plan: &JoinPlan, out: &mut Vec<u32>) {
-        match &self.cursors {
-            LevelCursors::Solid(cursors) => {
-                let pos = if self.batch_idx < self.batch.len() {
-                    self.batch_pos[self.batch_idx * cursors.len() + c]
-                } else {
-                    cursors[c].pos
-                };
-                if nruns == 1 {
-                    out.push(pos);
-                } else {
-                    let run = cursors[c].run as usize;
-                    for r in 0..nruns {
-                        out.push(if r == run { pos } else { ABSENT });
-                    }
-                }
-            }
-            LevelCursors::Mixed(cursors) => cursors[c].push_match_nodes(plan, nruns, out),
+    /// Writes participant `c`'s node position(s) at the currently served
+    /// match into `out` — one slot per physical run of the atom, with
+    /// [`ABSENT`] for runs not containing the match. For solid atoms (one
+    /// slot) this is exactly the single matched node, read from the
+    /// buffered batch under the block kernel or the parked cursor otherwise.
+    #[inline]
+    pub(crate) fn write_match_nodes(&self, c: usize, plan: &JoinPlan, out: &mut [u32]) {
+        if self.is_mixed {
+            return self.mixed[c].write_match_nodes(plan, out);
         }
+        let cursor = &self.solid[c];
+        let pos = if self.batch_idx < self.batch.len() {
+            self.batch_pos[self.batch_idx * self.solid.len() + c]
+        } else {
+            cursor.pos
+        };
+        write_run_node(cursor.run, pos, out);
     }
 
     /// The union-aware rotation: structurally the scalar kernel, but over
     /// [`Cursor`]s so layered participants intersect through their lazily
     /// merged views. One match per call; cursors park at the agreement so
-    /// [`LevelState::push_match_nodes`] can read per-run positions.
+    /// [`LevelState::write_match_nodes`] can read per-run positions.
     fn advance_mixed<const TRACK: bool>(
         &mut self,
         plan: &JoinPlan,
@@ -510,9 +630,7 @@ impl LevelState {
         if self.exhausted {
             return None;
         }
-        let LevelCursors::Mixed(cursors) = &mut self.cursors else {
-            unreachable!("advance_mixed on a solid level");
-        };
+        let cursors = &mut self.mixed;
         let k = cursors.len();
         if !self.primed {
             self.primed = true;
@@ -529,7 +647,7 @@ impl LevelState {
                 return None;
             }
             self.max = cursors[i].key(plan);
-            self.p = (self.p + 1) % k;
+            self.p = if self.p + 1 == k { 0 } else { self.p + 1 };
         }
         loop {
             let i = self.rot[self.p];
@@ -543,7 +661,7 @@ impl LevelState {
                 return None;
             }
             self.max = cursors[i].key(plan);
-            self.p = (self.p + 1) % k;
+            self.p = if self.p + 1 == k { 0 } else { self.p + 1 };
         }
     }
 
@@ -557,13 +675,12 @@ impl LevelState {
         if self.exhausted {
             return None;
         }
-        let LevelCursors::Solid(cursors) = &mut self.cursors else {
-            unreachable!("scalar kernel on a mixed level");
-        };
+        let cursors = &mut self.solid;
         let k = cursors.len();
         if !self.primed {
             self.primed = true;
-            self.rot = (0..k).collect();
+            self.rot.clear();
+            self.rot.extend(0..k);
             self.rot.sort_by_key(|&i| cursors[i].key(plan));
             self.p = 0;
             self.max = cursors[self.rot[k - 1]].key(plan);
@@ -576,7 +693,7 @@ impl LevelState {
                 return None;
             }
             self.max = cursors[i].key(plan);
-            self.p = (self.p + 1) % k;
+            self.p = if self.p + 1 == k { 0 } else { self.p + 1 };
         }
         loop {
             let i = self.rot[self.p];
@@ -592,7 +709,7 @@ impl LevelState {
                 return None;
             }
             self.max = cursors[i].key(plan);
-            self.p = (self.p + 1) % k;
+            self.p = if self.p + 1 == k { 0 } else { self.p + 1 };
         }
     }
 
@@ -626,9 +743,7 @@ impl LevelState {
         }
         self.batch.clear();
         self.batch_pos.clear();
-        let LevelCursors::Solid(cursors) = &mut self.cursors else {
-            unreachable!("block refill on a mixed level");
-        };
+        let cursors = &mut self.solid;
         let k = cursors.len();
         let mut inline = [EMPTY_VIEW; MAX_INLINE_VIEWS];
         let heap: Vec<LevelView<'_>>;
@@ -688,7 +803,7 @@ impl LevelState {
                     return;
                 }
                 self.max = views[i].vals[pos as usize];
-                self.p = (self.p + 1) % k;
+                self.p = if self.p + 1 == k { 0 } else { self.p + 1 };
                 if self.batch.len() >= PROBE_BATCH {
                     return;
                 }
@@ -699,7 +814,7 @@ impl LevelState {
                     return;
                 }
                 self.max = views[i].vals[cursors[i].pos as usize];
-                self.p = (self.p + 1) % k;
+                self.p = if self.p + 1 == k { 0 } else { self.p + 1 };
             }
         }
     }
@@ -742,8 +857,11 @@ pub struct LftjWalk {
     root: ValueRange,
     /// The probe kernel driving every level's intersection.
     kernel: ProbeKernel,
-    /// Open levels, one [`LevelState`] per currently-entered variable.
+    /// One [`LevelState`] per depth ever entered; the first `depth` are the
+    /// currently open levels, the rest keep their buffers for re-opening.
     levels: Vec<LevelState>,
+    /// Number of currently open levels.
+    depth: usize,
     /// Per-atom stack of bound node indices (absolute within each level).
     nodes: Vec<Vec<u32>>,
     prefix: Vec<ValueId>,
@@ -847,6 +965,7 @@ impl LftjWalk {
             root,
             kernel,
             levels: Vec::new(),
+            depth: 0,
             nodes: vec![Vec::new(); natoms],
             prefix: Vec::new(),
             started: false,
@@ -956,118 +1075,34 @@ impl LftjWalk {
         &self.est_bindings
     }
 
-    /// Opens the leapfrog state for the next unentered variable, scoping
-    /// every participating atom to the children of its bound parent node.
-    ///
-    /// Layered atoms open one sub-range per physical run that contains the
-    /// bound prefix; when exactly one run survives, the union view is
-    /// downgraded to a plain [`RangeCursor`] so the level keeps the batched
-    /// fast path — below the root, subtrees a small delta never touched run
-    /// at full solid-plan speed.
+    /// Opens the leapfrog state for the next unentered variable (see
+    /// [`LevelState::open`]), reusing the buffers of the last level opened
+    /// at this depth.
     fn open_level(&mut self) {
-        let d = self.levels.len();
+        let d = self.depth;
         let var = self.choose_var(d);
         self.depth_to_var.push(var);
         self.var_open[var] = true;
-        let vp = &self.plan.var_plans()[var];
-        let mut mixed = false;
-        let mut cursors: Vec<Cursor> = Vec::with_capacity(vp.participants.len());
-        for part in &vp.participants {
-            let nruns = self.plan.runs(part.atom);
-            if nruns == 1 {
-                let trie = &self.plan.tries()[part.atom];
-                let (mut range, group) = if part.level == 0 {
-                    // Level 0 is one sibling group (group id 0) spanning the
-                    // whole level.
-                    (trie.root_range(), 0)
-                } else {
-                    let parent = *self.nodes[part.atom].last().expect("parent level bound");
-                    (trie.children(part.level - 1, parent), parent)
-                };
-                // The bitmap index anchors ranks to the group's true first
-                // node, so record it before any root-range clamping narrows
-                // `range`.
-                let group_start = range.start;
-                // The first variable participates at level 0 of every atom
-                // that contains it; narrowing all its cursors to the walk's
-                // root range restricts the whole walk to that morsel.
-                if d == 0 {
-                    range = self.root.clamp_nodes(trie, part.level, range);
-                }
-                cursors.push(Cursor::Solid(RangeCursor {
-                    atom: part.atom,
-                    level: part.level,
-                    run: 0,
-                    hi: range.end,
-                    pos: range.start,
-                    group,
-                    group_start,
-                }));
-                continue;
-            }
-            // Layered atom: collect the runs alive under the bound prefix.
-            let mut subs: Vec<SubCursor> = Vec::with_capacity(nruns);
-            for r in 0..nruns {
-                let trie = self.plan.run_trie(part.atom, r);
-                let (mut range, group) = if part.level == 0 {
-                    (trie.root_range(), 0)
-                } else {
-                    let frame = &self.nodes[part.atom];
-                    let parent = frame[frame.len() - nruns + r];
-                    if parent == ABSENT {
-                        continue;
-                    }
-                    (trie.children(part.level - 1, parent), parent)
-                };
-                let group_start = range.start;
-                if d == 0 {
-                    range = self.root.clamp_nodes(trie, part.level, range);
-                }
-                if range.start < range.end {
-                    subs.push(SubCursor {
-                        run: r as u32,
-                        hi: range.end,
-                        pos: range.start,
-                        group,
-                        group_start,
-                    });
-                }
-            }
-            if subs.len() == 1 {
-                // Single live run: downgrade to a solid cursor.
-                let s = subs.pop().expect("one sub");
-                cursors.push(Cursor::Solid(RangeCursor {
-                    atom: part.atom,
-                    level: part.level,
-                    run: s.run,
-                    hi: s.hi,
-                    pos: s.pos,
-                    group: s.group,
-                    group_start: s.group_start,
-                }));
-            } else {
-                // Zero live runs yields an immediately-exhausted union,
-                // which closes the level on the first advance.
-                mixed = true;
-                cursors.push(Cursor::Union(UnionCursor::new(
-                    part.atom, part.level, subs, &self.plan,
-                )));
-            }
+        if d == self.levels.len() {
+            self.levels.push(LevelState::default());
         }
-        let cursors = if mixed {
-            LevelCursors::Mixed(cursors)
-        } else {
-            LevelCursors::Solid(
-                cursors
-                    .into_iter()
-                    .map(|c| match c {
-                        Cursor::Solid(rc) => rc,
-                        Cursor::Union(_) => unreachable!("mixed flag covers unions"),
-                    })
-                    .collect(),
-            )
-        };
-        self.levels.push(LevelState::new(cursors));
+        let LftjWalk {
+            plan,
+            nodes,
+            root,
+            levels,
+            ..
+        } = self;
+        levels[d].open(
+            plan,
+            &plan.var_plans()[var],
+            (d == 0).then_some(&*root),
+            |atom| {
+                let frame = &nodes[atom];
+                &frame[frame.len() - plan.runs(atom)..]
+            },
+        );
+        self.depth += 1;
     }
 
     /// Picks the plan variable to open at depth `d`.
@@ -1189,7 +1224,7 @@ impl LftjWalk {
         }
         let nlevels = self.plan.var_plans().len();
         loop {
-            let d = self.levels.len() - 1;
+            let d = self.depth - 1;
             // The plan variable this depth binds (identity for static walks).
             let var = self.depth_to_var[d];
             // Unbind this level's previous match (if any)…
@@ -1209,13 +1244,10 @@ impl LftjWalk {
                 Some(v) => {
                     self.prefix.push(v);
                     for (c, part) in self.plan.var_plans()[var].participants.iter().enumerate() {
-                        let nruns = self.plan.runs(part.atom);
-                        self.levels[d].push_match_nodes(
-                            c,
-                            nruns,
-                            &self.plan,
-                            &mut self.nodes[part.atom],
-                        );
+                        let frame = &mut self.nodes[part.atom];
+                        let len = frame.len();
+                        frame.resize(len + self.plan.runs(part.atom), ABSENT);
+                        self.levels[d].write_match_nodes(c, &self.plan, &mut frame[len..]);
                     }
                     self.levels[d].bound = true;
                     self.bindings += 1;
@@ -1235,10 +1267,10 @@ impl LftjWalk {
                     self.open_level();
                 }
                 None => {
-                    self.levels.pop();
+                    self.depth -= 1;
                     let var = self.depth_to_var.pop().expect("depth stack aligned");
                     self.var_open[var] = false;
-                    if self.levels.is_empty() {
+                    if self.depth == 0 {
                         self.done = true;
                         return None;
                     }
@@ -1278,55 +1310,6 @@ fn refined_span(plan: &JoinPlan, nodes: &[Vec<u32>], vp: &VarPlan) -> u64 {
     best
 }
 
-/// Streams result tuples of the join to `cb` in lexicographic order of the
-/// plan's variable order, stopping early when `cb` returns
-/// [`ControlFlow::Break`]. Returns `Break(())` iff the callback broke.
-pub fn lftj_foreach_until(
-    plan: &JoinPlan,
-    cb: impl FnMut(&[ValueId]) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    lftj_foreach_until_in_range(plan, &ValueRange::all(), cb)
-}
-
-/// Range-restricted [`lftj_foreach_until`]: streams only the result tuples
-/// whose first variable binding falls inside `root` (an independent
-/// sub-walk, see [`LftjWalk::with_root_range`]).
-pub fn lftj_foreach_until_in_range(
-    plan: &JoinPlan,
-    root: &ValueRange,
-    mut cb: impl FnMut(&[ValueId]) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let mut walk = LftjWalk::with_root_range(plan.clone(), root.clone());
-    while let Some(t) = walk.next_tuple() {
-        cb(t)?;
-    }
-    ControlFlow::Continue(())
-}
-
-/// Streams every result tuple of the join to `cb`, in lexicographic order of
-/// the plan's variable order (the never-stopping wrapper of
-/// [`lftj_foreach_until`]).
-pub fn lftj_foreach(plan: &JoinPlan, mut cb: impl FnMut(&[ValueId])) {
-    let flow = lftj_foreach_until(plan, |t| {
-        cb(t);
-        ControlFlow::Continue(())
-    });
-    debug_assert!(flow.is_continue());
-}
-
-/// Materialises the LFTJ result into a relation (schema = variable order).
-pub fn lftj(plan: &JoinPlan) -> Relation {
-    lftj_in_range(plan, &ValueRange::all())
-}
-
-/// Materialises the range-restricted LFTJ result: exactly the tuples whose
-/// first variable binding falls inside `root`. Concatenating the results of
-/// a disjoint cover of the value space (in range order) reproduces
-/// [`lftj`]'s output, order included.
-pub fn lftj_in_range(plan: &JoinPlan, root: &ValueRange) -> Relation {
-    lftj_in_range_counted(plan, root).0
-}
-
 /// Adaptive-ordering counters of one exhausted walk, harvested by
 /// materialising drivers into `JoinStats` (zero for static plans).
 #[derive(Debug, Default, Clone, Copy)]
@@ -1337,7 +1320,10 @@ pub struct WalkCounters {
     pub estimate_probes: u64,
 }
 
-/// [`lftj_in_range`] that also returns the walk's adaptive-ordering
+/// Materialises the range-restricted LFTJ result — exactly the tuples whose
+/// first variable binding falls inside `root`, so concatenating the results
+/// of a disjoint cover of the value space (in range order) reproduces the
+/// full result, order included — together with the walk's adaptive-ordering
 /// counters, so engines can surface reorder decisions and estimate
 /// maintenance cost without re-running the join.
 pub fn lftj_in_range_counted(plan: &JoinPlan, root: &ValueRange) -> (Relation, WalkCounters) {
@@ -1354,17 +1340,10 @@ pub fn lftj_in_range_counted(plan: &JoinPlan, root: &ValueRange) -> (Relation, W
     (out, counters)
 }
 
-/// Counts result tuples without materialising them.
-pub fn lftj_count(plan: &JoinPlan) -> usize {
-    let mut n = 0usize;
-    lftj_foreach(plan, |_| n += 1);
-    n
-}
-
 /// Convenience wrapper: plans and runs LFTJ over `relations` under `order`.
 pub fn lftj_join(relations: &[&Relation], order: &[Attr]) -> Result<Relation> {
     let plan = JoinPlan::new(relations, order)?;
-    Ok(lftj(&plan))
+    Ok(lftj_in_range_counted(&plan, &ValueRange::all()).0)
 }
 
 #[cfg(test)]
@@ -1407,8 +1386,7 @@ mod tests {
     fn results_stream_in_lexicographic_order() {
         let r = rel(&["a", "b"], &[&[2, 1], &[1, 2], &[1, 1]]);
         let plan = JoinPlan::new(&[&r], &attrs(&["a", "b"])).unwrap();
-        let mut seen: Vec<Vec<ValueId>> = Vec::new();
-        lftj_foreach(&plan, |t| seen.push(t.to_vec()));
+        let (seen, _) = drain(&plan, ValueRange::all(), ProbeKernel::Block);
         let mut sorted = seen.clone();
         sorted.sort();
         assert_eq!(seen, sorted);
@@ -1420,7 +1398,10 @@ mod tests {
         let r = rel(&["a"], &[&[1], &[2], &[3]]);
         let s = rel(&["b"], &[&[7], &[8]]);
         let plan = JoinPlan::new(&[&r, &s], &attrs(&["a", "b"])).unwrap();
-        assert_eq!(lftj_count(&plan), 6);
+        assert_eq!(
+            drain(&plan, ValueRange::all(), ProbeKernel::Block).0.len(),
+            6
+        );
     }
 
     #[test]
@@ -1428,7 +1409,9 @@ mod tests {
         let r = rel(&["a"], &[&[1]]);
         let s = rel(&["a"], &[]);
         let plan = JoinPlan::new(&[&r, &s], &attrs(&["a"])).unwrap();
-        assert_eq!(lftj_count(&plan), 0);
+        assert!(drain(&plan, ValueRange::all(), ProbeKernel::Block)
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -1475,13 +1458,13 @@ mod tests {
     }
 
     #[test]
-    fn walk_matches_foreach() {
+    fn walk_matches_materialised_result() {
         let r = rel(&["a", "b"], &[&[1, 2], &[2, 3], &[3, 1], &[1, 3]]);
         let s = rel(&["b", "c"], &[&[2, 3], &[3, 1], &[1, 2], &[3, 3]]);
         let t = rel(&["a", "c"], &[&[1, 3], &[2, 1], &[3, 2], &[1, 1]]);
         let plan = JoinPlan::new(&[&r, &s, &t], &attrs(&["a", "b", "c"])).unwrap();
-        let mut pushed: Vec<Vec<ValueId>> = Vec::new();
-        lftj_foreach(&plan, |t| pushed.push(t.to_vec()));
+        let materialised = lftj_in_range_counted(&plan, &ValueRange::all()).0;
+        let pushed: Vec<Vec<ValueId>> = materialised.rows().map(<[ValueId]>::to_vec).collect();
         let mut walk = LftjWalk::new(plan);
         let mut pulled: Vec<Vec<ValueId>> = Vec::new();
         while let Some(t) = walk.next_tuple() {
@@ -1493,26 +1476,6 @@ mod tests {
             walk.next_tuple().is_none(),
             "exhausted walk stays exhausted"
         );
-    }
-
-    #[test]
-    fn foreach_until_stops_the_walk() {
-        let r = rel(&["a"], &[&[1], &[2], &[3], &[4]]);
-        let s = rel(&["b"], &[&[7], &[8]]);
-        let plan = JoinPlan::new(&[&r, &s], &attrs(&["a", "b"])).unwrap();
-        let mut seen = 0usize;
-        let flow = lftj_foreach_until(&plan, |_| {
-            seen += 1;
-            if seen == 3 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert!(flow.is_break());
-        assert_eq!(seen, 3);
-        let full = lftj_foreach_until(&plan, |_| ControlFlow::Continue(()));
-        assert!(full.is_continue());
     }
 
     #[test]
@@ -1544,7 +1507,7 @@ mod tests {
         let s = rel(&["b", "c"], &[&[2, 3], &[3, 1], &[1, 2], &[1, 1]]);
         let t = rel(&["a", "c"], &[&[1, 3], &[2, 1], &[3, 2], &[2, 2]]);
         let plan = JoinPlan::new(&[&r, &s, &t], &attrs(&["a", "b", "c"])).unwrap();
-        let full = lftj(&plan);
+        let full = lftj_in_range_counted(&plan, &ValueRange::all()).0;
         assert!(!full.is_empty());
 
         // Split the `a` domain at value 2: [0, 2) and [2, ∞).
@@ -1553,8 +1516,8 @@ mod tests {
             hi: Some(v(2)),
         };
         let hi_half = ValueRange { lo: v(2), hi: None };
-        let lo_part = lftj_in_range(&plan, &lo_half);
-        let hi_part = lftj_in_range(&plan, &hi_half);
+        let lo_part = lftj_in_range_counted(&plan, &lo_half).0;
+        let hi_part = lftj_in_range_counted(&plan, &hi_half).0;
         assert!(lo_part.rows().all(|row| row[0] < v(2)));
         assert!(hi_part.rows().all(|row| row[0] >= v(2)));
 
@@ -1584,7 +1547,7 @@ mod tests {
     fn empty_range_yields_nothing() {
         let r = rel(&["a"], &[&[1], &[2], &[3]]);
         let plan = JoinPlan::new(&[&r], &attrs(&["a"])).unwrap();
-        let out = lftj_in_range(
+        let (out, _) = lftj_in_range_counted(
             &plan,
             &ValueRange {
                 lo: v(10),
@@ -1592,10 +1555,8 @@ mod tests {
             },
         );
         assert!(out.is_empty());
-        let flow = lftj_foreach_until_in_range(&plan, &ValueRange { lo: v(2), hi: None }, |_| {
-            ControlFlow::Break(())
-        });
-        assert!(flow.is_break());
+        let mut tail = LftjWalk::with_root_range(plan, ValueRange { lo: v(2), hi: None });
+        assert_eq!(tail.next_tuple(), Some(&[v(2)][..]));
     }
 
     #[test]
@@ -2115,7 +2076,7 @@ mod tests {
             let (rel_adaptive, counters) = lftj_in_range_counted(&plan, &ValueRange::all());
             assert!(counters.reorders > 0);
             assert!(counters.estimate_probes > 0);
-            let static_rel = lftj(&branch_plan(None));
+            let (static_rel, _) = lftj_in_range_counted(&branch_plan(None), &ValueRange::all());
             assert!(rel_adaptive.set_eq(&static_rel));
         }
     }

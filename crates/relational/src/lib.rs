@@ -5,11 +5,12 @@
 //!
 //! * dictionary-encoded [`value::Value`]s and [`value::Dict`];
 //! * [`schema::Schema`]s and in-memory [`relation::Relation`]s;
-//! * flat sorted [`trie::Trie`]s and [`leapfrog`] intersection;
-//! * two worst-case optimal engines — the streaming [`lftj`] (Leapfrog
-//!   Triejoin, Veldhuizen 2012) and the instrumented level-wise
-//!   [`generic`] join (Ngo et al. 2012), whose per-level intermediate
-//!   counts are the quantity the paper's Lemma 3.5 bounds;
+//! * flat sorted [`trie::Trie`]s and the [`leapfrog`] seek kernels;
+//! * one leapfrog intersection core driven two ways — depth-first by the
+//!   streaming [`lftj`] walk (Leapfrog Triejoin, Veldhuizen 2012) and
+//!   breadth-first by the instrumented level-wise [`generic`] driver (Ngo
+//!   et al. 2012), whose per-level intermediate counts are the quantity the
+//!   paper's Lemma 3.5 bounds;
 //! * the classical pairwise [`hashjoin`] comparator;
 //! * a [`catalog`] and synthetic [`generator`]s (including AGM-tight product
 //!   instances per the paper's Lemma 3.2).

@@ -148,10 +148,8 @@ pub struct JoinPlan {
     tries: Vec<Arc<Trie>>,
     /// Per-atom delta runs overlaying [`JoinPlan::tries`] (empty vector =
     /// solid atom). A layered atom's logical content is the union
-    /// `tries[i] ∪ layers[i][0] ∪ layers[i][1] ∪ …`; only walk-based
-    /// engines (`LftjWalk` and everything built on it) consume layers —
-    /// engines that read [`JoinPlan::tries`] directly must be handed
-    /// pre-compacted plans.
+    /// `tries[i] ∪ layers[i][0] ∪ layers[i][1] ∪ …`, which both the walk
+    /// and the level-wise driver union lazily.
     layers: Vec<Vec<Arc<Trie>>>,
     var_plans: Vec<VarPlan>,
     /// Wall-clock time [`JoinPlan::new`] spent in [`Trie::build`] (zero for
@@ -258,10 +256,8 @@ impl JoinPlan {
     /// logical content is `tries[i]` unioned with every trie in `layers[i]`.
     ///
     /// Every run must be leveled by exactly the same attribute order as its
-    /// base trie. Layered plans are only executable by walk-based engines
-    /// ([`crate::LftjWalk`] and the streaming / morsel drivers built on it);
-    /// hand engines that consume [`JoinPlan::tries`] directly a compacted
-    /// plan instead.
+    /// base trie. Both [`crate::LftjWalk`] and
+    /// [`crate::generic::levelwise_join`] execute layered plans.
     pub fn from_shared_layered(
         tries: Vec<Arc<Trie>>,
         layers: Vec<Vec<Arc<Trie>>>,
@@ -326,7 +322,7 @@ impl JoinPlan {
 
     /// The atoms' base tries (leveled consistently with
     /// [`JoinPlan::order`]). For layered atoms this is the base layer only —
-    /// walk-based engines additionally consume [`JoinPlan::layers`].
+    /// the full atom is this unioned with [`JoinPlan::layers`].
     pub fn tries(&self) -> &[Arc<Trie>] {
         &self.tries
     }

@@ -36,6 +36,19 @@ impl Relation {
         }
     }
 
+    /// Wraps a row-major buffer of whole tuples without copying it.
+    ///
+    /// # Panics
+    /// Panics on nullary schemas or if `data` does not hold whole tuples.
+    pub(crate) fn from_flat(schema: Schema, data: Vec<ValueId>) -> Self {
+        let arity = schema.arity();
+        assert!(
+            arity > 0 && data.len().is_multiple_of(arity),
+            "ragged row buffer"
+        );
+        Relation { schema, data }
+    }
+
     /// Builds a relation from an iterator of rows, validating arity.
     pub fn from_rows<I>(schema: Schema, rows: I) -> Result<Self>
     where

@@ -16,7 +16,7 @@ use std::hash::BuildHasher;
 /// Ids are dense (assigned by insertion order) and totally ordered; the order
 /// is arbitrary but consistent, which is all that worst-case optimal join
 /// algorithms require.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ValueId(pub u32);
 
 impl ValueId {

@@ -205,9 +205,19 @@ fn malformed(msg: impl Into<String>) -> WireError {
     WireError::Malformed(msg.into())
 }
 
-/// Writes one frame.
+/// Writes one frame. A payload over [`MAX_PAYLOAD`] (which every peer
+/// refuses to read) fails with [`io::ErrorKind::InvalidInput`] before any
+/// byte is written, so the stream stays in sync.
 pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
+    if payload.len() > MAX_PAYLOAD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "payload of {} bytes exceeds cap {MAX_PAYLOAD}",
+                payload.len()
+            ),
+        ));
+    }
     let mut header = [0u8; 8];
     header[..2].copy_from_slice(&MAGIC);
     header[2] = VERSION;
@@ -881,6 +891,20 @@ mod tests {
         let mut huge = buf.clone();
         huge[4..8].copy_from_slice(&(MAX_PAYLOAD as u32 + 1).to_be_bytes());
         assert!(read_frame(&mut &huge[..]).is_err());
+    }
+
+    #[test]
+    fn write_frame_refuses_oversized_payloads_and_writes_nothing() {
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, op::ROWS, &vec![0u8; MAX_PAYLOAD + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            out.is_empty(),
+            "no byte of a refused frame reaches the stream"
+        );
+        // The cap itself is still a legal frame.
+        write_frame(&mut out, op::ROWS, &vec![0u8; MAX_PAYLOAD]).unwrap();
+        assert_eq!(out.len(), 8 + MAX_PAYLOAD);
     }
 
     #[test]

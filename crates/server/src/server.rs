@@ -360,40 +360,45 @@ fn serve_frame(
     opcode: u8,
     payload: &[u8],
 ) -> io::Result<bool> {
-    let mut w = stream;
-    if inner.shutdown.load(Ordering::SeqCst) && opcode != op::STATS {
-        proto::write_frame(
-            &mut w,
-            op::ERR,
-            &proto::encode_err(ErrorCode::ShuttingDown, "server is shutting down"),
-        )?;
-        return Ok(true);
-    }
-    match opcode {
-        op::QUERY => {
-            let (reply_op, reply) = match proto::decode_query(payload) {
-                Ok((opts, req, text)) => serve_query(inner, &opts, req, &text),
-                Err(e) => malformed_reply(&e),
-            };
-            proto::write_frame(&mut w, reply_op, &reply)?;
-            Ok(false)
-        }
-        op::PREPARE => {
-            let (reply_op, reply) = match proto::decode_prepare(payload) {
-                Ok((opts, text)) => serve_prepare(inner, &opts, &text),
-                Err(e) => malformed_reply(&e),
-            };
-            proto::write_frame(&mut w, reply_op, &reply)?;
-            Ok(false)
-        }
-        op::EXEC => {
-            let (reply_op, reply) = match proto::decode_exec(payload) {
-                Ok((stmt_id, req)) => serve_exec(inner, stmt_id, req),
-                Err(e) => malformed_reply(&e),
-            };
-            proto::write_frame(&mut w, reply_op, &reply)?;
-            Ok(false)
-        }
+    let (reply_op, reply, close) = if inner.shutdown.load(Ordering::SeqCst) && opcode != op::STATS {
+        let (reply_op, reply) = error_reply(ErrorCode::ShuttingDown, &"server is shutting down");
+        (reply_op, reply, true)
+    } else {
+        reply_to(inner, opcode, payload)
+    };
+    // The one place a reply meets the frame cap: a result too large for a
+    // single frame becomes a structured error instead of a frame the peer
+    // would refuse, which would desync the connection.
+    let (reply_op, reply) = if reply.len() > proto::MAX_PAYLOAD {
+        let detail = format!(
+            "result of {} bytes exceeds the {} MiB reply cap",
+            reply.len(),
+            proto::MAX_PAYLOAD >> 20
+        );
+        error_reply(ErrorCode::Exec, &detail)
+    } else {
+        (reply_op, reply)
+    };
+    proto::write_frame(&mut &*stream, reply_op, &reply)?;
+    Ok(close)
+}
+
+/// Computes the reply frame for one request, and whether the connection
+/// closes after it.
+fn reply_to(inner: &Arc<ServerInner>, opcode: u8, payload: &[u8]) -> (u8, Vec<u8>, bool) {
+    let (reply_op, reply) = match opcode {
+        op::QUERY => match proto::decode_query(payload) {
+            Ok((opts, req, text)) => serve_query(inner, &opts, req, &text),
+            Err(e) => malformed_reply(&e),
+        },
+        op::PREPARE => match proto::decode_prepare(payload) {
+            Ok((opts, text)) => serve_prepare(inner, &opts, &text),
+            Err(e) => malformed_reply(&e),
+        },
+        op::EXEC => match proto::decode_exec(payload) {
+            Ok((stmt_id, req)) => serve_exec(inner, stmt_id, req),
+            Err(e) => malformed_reply(&e),
+        },
         op::STATS => {
             let format = payload.first().copied().unwrap_or(0);
             let snap = xjoin_obs::global_metrics().snapshot();
@@ -402,27 +407,21 @@ fn serve_frame(
             } else {
                 snap.to_string()
             };
-            proto::write_frame(
-                &mut w,
-                op::STATS_REPLY,
-                &proto::encode_stats_reply(format, &body),
-            )?;
-            Ok(false)
+            (op::STATS_REPLY, proto::encode_stats_reply(format, &body))
         }
         op::SHUTDOWN => {
             inner.shutdown.store(true, Ordering::SeqCst);
-            proto::write_frame(&mut w, op::BYE, &[])?;
-            Ok(true)
+            return (op::BYE, Vec::new(), true);
         }
         other => {
-            proto::write_frame(
-                &mut w,
-                op::ERR,
-                &proto::encode_err(ErrorCode::Malformed, &format!("unknown opcode {other:#x}")),
-            )?;
-            Ok(true)
+            let (reply_op, reply) = error_reply(
+                ErrorCode::Malformed,
+                &format_args!("unknown opcode {other:#x}"),
+            );
+            return (reply_op, reply, true);
         }
-    }
+    };
+    (reply_op, reply, false)
 }
 
 fn malformed_reply(e: &proto::WireError) -> (u8, Vec<u8>) {

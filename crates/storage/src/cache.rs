@@ -14,8 +14,8 @@
 //! An entry is either a [`CachedTrie::Solid`] trie or a
 //! [`CachedTrie::Layered`] overlay — an immutable base plus small sorted
 //! delta runs ([`DeltaTrie`]). Overlays are how an appended-to relation's
-//! *new* version resolves without a full rebuild: the walk-based engines
-//! union the layers lazily, and once the deltas outgrow the store's
+//! *new* version resolves without a full rebuild: every plan-based engine
+//! unions the layers lazily, and once the deltas outgrow the store's
 //! compaction ratio the overlay is merged and swapped for a solid entry via
 //! [`TrieRegistry::replace_with_solid`].
 //!
@@ -60,14 +60,13 @@ pub struct TrieKey {
 }
 
 /// What a registry entry resolves to: a solid trie, or a layered overlay
-/// (base + sorted delta runs) that walk-based engines union lazily.
+/// (base + sorted delta runs) that every plan-based engine unions lazily.
 #[derive(Debug, Clone)]
 pub enum CachedTrie {
     /// A fully merged trie — what every engine can consume.
     Solid(Arc<Trie>),
-    /// An immutable base overlaid with delta runs. Only the walk-based
-    /// engines (LFTJ, streaming XJoin) consume this directly; level-wise
-    /// engines compact it first.
+    /// An immutable base overlaid with delta runs, consumed directly by
+    /// both the walk and the level-wise driver.
     Layered(Arc<DeltaTrie>),
 }
 

@@ -26,8 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xjoin_core::{
     apply_terms, collect_atoms, compute_order, execute_with_plan, stream_with_plan,
-    validate_output, CoreError, EngineKind, ExecOptions, MultiModelQuery, Parallelism, QueryOutput,
-    Rows, Term,
+    validate_output, CoreError, ExecOptions, MultiModelQuery, Parallelism, QueryOutput, Rows, Term,
 };
 use xmldb::{decompose, path_fingerprint, path_relation, PathSpec};
 
@@ -284,15 +283,15 @@ impl PreparedQuery {
     /// overlay is possible (no cached base, a rewrite in between, log
     /// truncated) — the caller falls back to a full rebuild.
     ///
-    /// What comes back depends on `wants_layers`, the atom's kind, and the
-    /// store's compaction ratio: a fresh base-relation overlay within
-    /// budget is cached layered and returned as `(base, runs)`. Anything
-    /// else is merged (a splice of the sorted layers, cheaper than a full
-    /// sort-build) and cached solid: an overlay past its ratio, one a
-    /// level-wise engine needs solid, and every derived atom's. Derived
-    /// atoms merge at once because their write batches are small next to
-    /// the base and rarely reach the ratio, so kept layers would pile up
-    /// into many delta runs that every later read has to union.
+    /// What comes back depends on the atom's kind and the store's
+    /// compaction ratio: a fresh base-relation overlay within budget is
+    /// cached layered and returned as `(base, runs)`. Anything else is
+    /// merged (a splice of the sorted layers, cheaper than a full
+    /// sort-build) and cached solid: an overlay past its ratio, and every
+    /// derived atom's. Derived atoms merge at once because their write
+    /// batches are small next to the base and rarely reach the ratio, so
+    /// kept layers would pile up into many delta runs that every later read
+    /// has to union.
     fn overlay_for(
         &self,
         snapshot: &Snapshot,
@@ -300,7 +299,6 @@ impl PreparedQuery {
         spec: &PreparedAtom,
         name: &str,
         terms: Option<&[Term]>,
-        wants_layers: bool,
     ) -> Result<Option<ResolvedOverlay>> {
         let policy = snapshot.delta_policy();
         if !policy.enabled {
@@ -327,7 +325,7 @@ impl PreparedQuery {
             built += 1;
             delta.push_run(Arc::new(run))?;
         }
-        if terms.is_some() || !wants_layers || delta.needs_compaction(policy.compact_ratio) {
+        if terms.is_some() || delta.needs_compaction(policy.compact_ratio) {
             let solid = Arc::new(delta.compact()?);
             registry.replace_with_solid(key, Arc::clone(&solid));
             return Ok(Some((solid, Vec::new(), built + 1)));
@@ -347,12 +345,8 @@ impl PreparedQuery {
     /// tries built from the append log are overlaid on, or merged into, the
     /// cached base (see [`PreparedQuery::overlay_for`]).
     ///
-    /// `wants_layers` says whether the consumer walks the plan through
-    /// `relational::LftjWalk` (LFTJ, the streaming engine, and every
-    /// [`PreparedQuery::rows`] drain), which unions base + delta layers
-    /// lazily. Level-wise engines (XJoin, generic) read trie levels
-    /// directly, so they pass `false` and layered entries are compacted to
-    /// solid tries before planning.
+    /// Layered cache entries stay layered: every plan-based engine unions
+    /// base + delta runs lazily.
     ///
     /// The returned [`PlanBuildCost`] covers exactly the misses *this* call
     /// paid for (relation materialisation + trie build, lock waits
@@ -361,7 +355,6 @@ impl PreparedQuery {
     fn plan_for(
         &self,
         snapshot: &Snapshot,
-        wants_layers: bool,
     ) -> Result<(JoinPlan, Vec<(String, usize)>, PlanBuildCost)> {
         let keys = self.trie_keys(snapshot)?;
         let registry = snapshot.registry();
@@ -378,21 +371,8 @@ impl PreparedQuery {
                     continue;
                 }
                 Some(crate::cache::CachedTrie::Layered(delta)) => {
-                    if wants_layers {
-                        tries.push(Arc::clone(delta.base()));
-                        layers.push(delta.runs().to_vec());
-                        continue;
-                    }
-                    // A level-wise engine reached a layered entry first:
-                    // merge it now and upgrade the cache entry so the next
-                    // consumer (of either kind) is warm.
-                    let build_start = Instant::now();
-                    let solid = Arc::new(delta.compact()?);
-                    registry.replace_with_solid(key, Arc::clone(&solid));
-                    cost.elapsed += build_start.elapsed();
-                    cost.tries_built += 1;
-                    tries.push(solid);
-                    layers.push(Vec::new());
+                    tries.push(Arc::clone(delta.base()));
+                    layers.push(delta.runs().to_vec());
                     continue;
                 }
                 None => {}
@@ -405,7 +385,7 @@ impl PreparedQuery {
                     // `None` for a base-relation atom, which has no terms.
                     let terms = self.query.relations[i].terms.as_deref();
                     if let Some((base, runs, built)) =
-                        self.overlay_for(snapshot, key, spec, name, terms, wants_layers)?
+                        self.overlay_for(snapshot, key, spec, name, terms)?
                     {
                         cost.elapsed += build_start.elapsed();
                         cost.tries_built += built;
@@ -478,13 +458,7 @@ impl PreparedQuery {
     /// latency into build vs probe.
     pub fn execute(&self, snapshot: &Snapshot) -> Result<QueryOutput> {
         let start = Instant::now();
-        // Only the walk-based kinds union delta layers in place; the
-        // level-wise kinds read trie levels directly and need solid plans.
-        let wants_layers = matches!(
-            self.options.engine,
-            EngineKind::Lftj | EngineKind::XJoinStream
-        );
-        let (plan, atom_sizes, cost) = self.plan_for(snapshot, wants_layers)?;
+        let (plan, atom_sizes, cost) = self.plan_for(snapshot)?;
         let ctx = snapshot.ctx();
         let mut out = execute_with_plan(
             &ctx,
@@ -526,8 +500,7 @@ impl PreparedQuery {
         enqueued: Instant,
     ) -> Result<QueryOutput> {
         let start = Instant::now();
-        // The deadline drain is always the streaming walk: layers are fine.
-        let (plan, atom_sizes, cost) = self.plan_for(snapshot, true)?;
+        let (plan, atom_sizes, cost) = self.plan_for(snapshot)?;
         if Instant::now() >= deadline {
             return Err(StoreError::deadline_exceeded(
                 self.label(),
@@ -586,9 +559,7 @@ impl PreparedQuery {
     /// parallel setting walks the cached tries morsel-parallel, with the
     /// workers sharing the snapshot's `Arc<Trie>` registry entries.
     pub fn rows<'s>(&'s self, snapshot: &'s Snapshot) -> Result<Rows<'s>> {
-        // The pull-based drain is always the streaming walk, whatever kind
-        // is pinned — delta layers are consumed natively.
-        let (plan, _, _) = self.plan_for(snapshot, true)?;
+        let (plan, _, _) = self.plan_for(snapshot)?;
         stream_with_plan(&snapshot.ctx(), &self.query, plan, &self.options)
             .map_err(StoreError::from)
     }
@@ -999,7 +970,7 @@ mod tests {
     }
 
     #[test]
-    fn level_wise_engines_get_compacted_solid_plans_after_append() {
+    fn level_wise_engines_read_delta_layers_after_append() {
         use crate::store::DeltaPolicy;
         let store = bookstore_store();
         store.set_delta_policy(DeltaPolicy {
@@ -1007,40 +978,37 @@ mod tests {
             compact_ratio: 10.0,
         });
         let q = bookstore_query();
-        let walk = PreparedQuery::prepare(
-            &store.snapshot(),
-            &q,
-            ExecOptions::for_engine(EngineKind::XJoinStream),
-        )
-        .unwrap();
-        let levelwise = PreparedQuery::prepare(
-            &store.snapshot(),
-            &q,
-            ExecOptions::for_engine(EngineKind::XJoin),
-        )
-        .unwrap();
-        walk.execute(&store.snapshot()).unwrap();
+        let prepare = |kind| {
+            PreparedQuery::prepare(&store.snapshot(), &q, ExecOptions::for_engine(kind)).unwrap()
+        };
+        let (walk, xjoin, generic) = (
+            prepare(EngineKind::XJoinStream),
+            prepare(EngineKind::XJoin),
+            prepare(EngineKind::Generic),
+        );
+        xjoin.execute(&store.snapshot()).unwrap();
         store
             .append("R", vec![vec![Value::Int(20134), Value::str("meg")]])
             .unwrap();
         let snap = store.snapshot();
-        // The walk engine installs the overlay...
+        let compactions = store.registry().stats().compactions;
+        // A level-wise engine resolving the miss caches the overlay layered...
+        let level = xjoin.execute(&snap).unwrap();
+        assert_eq!(level.stats.delta_runs, 1);
+        assert_eq!(store.registry().stats().overlays, 1);
+        // ...and every plan-based engine reads it as base + run, unmerged.
         let walked = walk.execute(&snap).unwrap();
+        let gen = generic.execute(&snap).unwrap();
         assert_eq!(walked.stats.delta_runs, 1);
-        // ...and the level-wise engine finds it, compacts it in place, and
-        // runs on a solid plan with identical results.
-        let stats_before = store.registry().stats();
-        let level = levelwise.execute(&snap).unwrap();
-        assert_eq!(level.stats.delta_runs, 0);
+        assert_eq!(gen.stats.delta_runs, 1);
+        assert_eq!(store.registry().stats().compactions, compactions);
         assert!(level.results.set_eq(&walked.results));
-        assert_eq!(
-            store.registry().stats().compactions,
-            stats_before.compactions + 1
-        );
-        // After the upgrade the walk engine reads the solid entry (no runs).
-        let walked2 = walk.execute(&snap).unwrap();
-        assert_eq!(walked2.stats.delta_runs, 0);
-        assert!(walked2.results.set_eq(&walked.results));
+        assert!(gen.results.set_eq(&walked.results));
+        // Same rows as a store built from scratch at the new version.
+        let fresh = VersionedStore::new(snap.db().clone(), snap.doc().clone());
+        let direct = xjoin_core::execute(&fresh.snapshot().ctx(), &q, &ExecOptions::default());
+        assert!(level.results.set_eq(&direct.unwrap().results));
+        assert_eq!(level.results.len(), 3);
     }
 
     #[test]

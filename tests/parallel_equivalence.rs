@@ -503,11 +503,11 @@ proptest! {
         k in 1usize..16,
     ) {
         let plan = plan_of(&rows);
-        let full = relational::lftj::lftj(&plan);
+        let full = relational::lftj::lftj_in_range_counted(&plan, &relational::ValueRange::all()).0;
         let ranges = partition_root(&plan, k);
         let mut merged = Relation::new(full.schema().clone());
         for range in &ranges {
-            let part = relational::lftj::lftj_in_range(&plan, range);
+            let (part, _) = relational::lftj::lftj_in_range_counted(&plan, range);
             for row in part.rows() {
                 merged.push(row).unwrap();
             }

@@ -1,14 +1,65 @@
-//! Property-based tests of the relational substrate: tries, leapfrog, and
-//! the equivalence of all three relational join engines against a naive
-//! reference.
+//! Property-based tests of the relational substrate: tries, leapfrog, the
+//! equivalence of all three relational join engines against a naive
+//! reference, and the level-wise driver against the depth-first walk on
+//! solid and delta-layered plans.
 
 use proptest::prelude::*;
-use relational::generic::{generic_join, naive_join};
+use relational::generic::{generic_join, levelwise_join, naive_join};
 use relational::hashjoin::multiway_hash_join;
 use relational::leapfrog::{gallop, intersect};
 use relational::lftj::lftj_join;
-use relational::{Attr, Relation, Schema, Trie, ValueId};
+use relational::{Attr, JoinPlan, LftjWalk, Relation, Schema, Trie, ValueId, ValueRange};
 use std::collections::BTreeSet;
+use std::sync::Arc;
+use xjoin_core::partition_root;
+
+/// Every order of the variables `a`, `b`, `c`.
+const ORDERS: [[&str; 3]; 6] = [
+    ["a", "b", "c"],
+    ["a", "c", "b"],
+    ["b", "a", "c"],
+    ["b", "c", "a"],
+    ["c", "a", "b"],
+    ["c", "b", "a"],
+];
+
+/// The triangle `R(a,b) ⋈ S(b,c) ⋈ T(a,c)` from run-tagged rows: returns
+/// the plan and each atom's full (union) relation. With `runs == 0` the
+/// plan is solid; otherwise every atom is a base trie plus `runs` delta
+/// runs, row `(x, y, tag)` landing in run `tag % (runs + 1)` (0 = base).
+fn triangle_plan(
+    atoms: [&[(u32, u32, usize)]; 3],
+    runs: usize,
+    order: &[Attr],
+) -> (JoinPlan, Vec<Relation>) {
+    let mut unions = Vec::new();
+    let mut bases = Vec::new();
+    let mut layers = Vec::new();
+    for (rows, names) in atoms.into_iter().zip([["a", "b"], ["b", "c"], ["a", "c"]]) {
+        let schema = Schema::of(&names);
+        let atom_order = schema.restrict_order(order).unwrap();
+        let mut union = Relation::new(schema.clone());
+        let mut parts = vec![Relation::new(schema); runs + 1];
+        for &(x, y, tag) in rows {
+            let row = [ValueId(x), ValueId(y)];
+            union.push(&row).unwrap();
+            parts[tag % (runs + 1)].push(&row).unwrap();
+        }
+        union.sort_dedup();
+        unions.push(union);
+        let mut tries = parts
+            .iter()
+            .map(|p| Arc::new(Trie::build(p, &atom_order).unwrap()));
+        bases.push(tries.next().unwrap());
+        layers.push(tries.collect());
+    }
+    let plan = if runs == 0 {
+        JoinPlan::new(&unions.iter().collect::<Vec<_>>(), order)
+    } else {
+        JoinPlan::from_shared_layered(bases, layers, order)
+    };
+    (plan.unwrap(), unions)
+}
 
 fn rel_from(rows: &[(u32, u32)], a: &str, b: &str) -> Relation {
     let mut r = Relation::new(Schema::of(&[a, b]));
@@ -115,6 +166,54 @@ proptest! {
     }
 
     #[test]
+    fn levelwise_driver_matches_walk_naive_and_morsels(
+        r_rows in prop::collection::vec((0u32..7, 0u32..7, 0usize..4), 0..30),
+        s_rows in prop::collection::vec((0u32..7, 0u32..7, 0usize..4), 0..30),
+        t_rows in prop::collection::vec((0u32..7, 0u32..7, 0usize..4), 0..30),
+        runs in 0usize..4,
+        perm in 0usize..6,
+        morsels in 2usize..6,
+    ) {
+        let order: Vec<Attr> = ORDERS[perm].iter().map(|&n| Attr::new(n)).collect();
+        let (plan, unions) = triangle_plan([&r_rows, &s_rows, &t_rows], runs, &order);
+        prop_assert_eq!(plan.layers().iter().map(Vec::len).sum::<usize>(), 3 * runs);
+        let (got, stats) = levelwise_join(&plan, &ValueRange::all(), None);
+
+        // Same rows, in the same (lexicographic) order, as the walk and the
+        // naive reference.
+        let mut walk = LftjWalk::new(plan.clone()).with_probe_counters();
+        let mut walked = Relation::new(got.schema().clone());
+        while let Some(t) = walk.next_tuple() {
+            walked.push(t).unwrap();
+        }
+        prop_assert_eq!(&got, &walked, "driver vs walk");
+        let refs: Vec<&Relation> = unions.iter().collect();
+        prop_assert_eq!(&got, &naive_join(&refs, &order).unwrap(), "driver vs naive");
+
+        // Each depth's stage count is the walk's binding count there.
+        let counts: Vec<u64> = stats.stages.iter().map(|s| s.tuples as u64).collect();
+        let bindings: Vec<u64> = walk.probe_stats().iter().map(|p| p.bindings).collect();
+        prop_assert_eq!(counts, bindings);
+
+        // A disjoint morsel cover concatenates to the same output and sums
+        // to the same stage counts.
+        let mut glued = Relation::new(got.schema().clone());
+        let mut summed = vec![0usize; stats.stages.len()];
+        for range in partition_root(&plan, morsels) {
+            let (part, part_stats) = levelwise_join(&plan, &range, None);
+            for row in part.rows() {
+                glued.push(row).unwrap();
+            }
+            for (acc, stage) in summed.iter_mut().zip(&part_stats.stages) {
+                *acc += stage.tuples;
+            }
+        }
+        prop_assert_eq!(&glued, &got, "morsel concatenation");
+        let full: Vec<usize> = stats.stages.iter().map(|s| s.tuples).collect();
+        prop_assert_eq!(summed, full);
+    }
+
+    #[test]
     fn gallop_matches_naive_linear_scan(
         set in prop::collection::btree_set(0u32..300, 0..80),
         target in 0u32..320,
@@ -201,12 +300,13 @@ fn lftj_streams_in_sorted_order_on_random_data() {
         .collect();
     let r = rel_from(&rows, "a", "b");
     let order: Vec<Attr> = vec!["a".into(), "b".into()];
-    let plan = relational::JoinPlan::new(&[&r], &order).unwrap();
+    let plan = JoinPlan::new(&[&r], &order).unwrap();
+    let mut walk = LftjWalk::new(plan);
     let mut prev: Option<Vec<ValueId>> = None;
-    relational::lftj::lftj_foreach(&plan, |t| {
+    while let Some(t) = walk.next_tuple() {
         if let Some(p) = &prev {
             assert!(p.as_slice() < t, "not sorted: {p:?} !< {t:?}");
         }
         prev = Some(t.to_vec());
-    });
+    }
 }

@@ -269,6 +269,63 @@ fn row_budget_truncates_and_sets_the_flag() {
     handle.shutdown();
 }
 
+/// A result too large for one reply frame comes back as a structured
+/// error, and the connection stays usable for the next request.
+#[test]
+fn oversized_result_is_a_structured_error_and_the_connection_survives() {
+    // ~17k rows of 1 KiB strings: a full scan encodes to more than 16 MiB.
+    let mut db = relational::Database::new();
+    let rows: Vec<Vec<Value>> = (0..17_000i64)
+        .map(|i| vec![Value::Int(i), Value::str(format!("{i:01024}"))])
+        .collect();
+    db.load("Blob", relational::Schema::of(&["id", "text"]), rows)
+        .unwrap();
+    let mut dict = db.dict().clone();
+    let mut b = xmldb::XmlDocument::builder();
+    b.begin("root");
+    b.end();
+    let doc = b.build(&mut dict);
+    *db.dict_mut() = dict;
+    let store = Arc::new(VersionedStore::new(db, doc));
+    let config = ServerConfig {
+        workers: workers(),
+        admission: AdmissionPolicy::disabled(),
+        ..Default::default()
+    };
+    let handle = Server::spawn(store, config).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let stmt_id = match client
+        .prepare("Q(id, text) :- Blob(id, text)", &ExecOptions::default())
+        .unwrap()
+    {
+        Response::Prepared { stmt_id, .. } => stmt_id,
+        other => panic!("prepare failed: {other:?}"),
+    };
+    match client.exec(stmt_id, RequestOpts::default()).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::Exec);
+            assert!(
+                message.contains("exceeds the 16 MiB reply cap"),
+                "unexpected message: {message}"
+            );
+        }
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+    // Same connection, next EXEC: still in frame sync.
+    let budgeted = RequestOpts {
+        row_budget: 10,
+        ..Default::default()
+    };
+    match client.exec(stmt_id, budgeted).unwrap() {
+        Response::Rows(r) => {
+            assert_eq!(r.rows.len(), 10);
+            assert!(r.truncated);
+        }
+        other => panic!("follow-up exec failed: {other:?}"),
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn expired_deadline_returns_a_structured_deadline_error() {
     // A 4-clique over a few thousand edges cannot finish in 1 ms; the

@@ -237,7 +237,7 @@ fn writers_never_perturb_parallel_queries_on_pinned_snapshots() {
 }
 
 /// Sustained churn: a stream of appends resolves through delta overlays
-/// (walk engines) or compact-and-upgrade (level-wise engines), and every
+/// (compacted once they outgrow the ratio) on every engine, and every
 /// plan-based engine in both thread modes stays result-identical to a
 /// cache-free rebuild of the same snapshot at every step.
 #[test]
@@ -301,12 +301,10 @@ fn sustained_churn_delta_results_match_rebuilds_across_engines() {
                 stats.compactions > 0,
                 "{kind:?}/{par:?}: ratio 0.5 never triggered a compaction"
             );
-            if matches!(kind, EngineKind::Lftj | EngineKind::XJoinStream) {
-                assert!(
-                    stats.overlays > 0,
-                    "{kind:?}/{par:?}: walk engine never used a delta overlay"
-                );
-            }
+            assert!(
+                stats.overlays > 0,
+                "{kind:?}/{par:?}: engine never used a delta overlay"
+            );
         }
     }
 }
